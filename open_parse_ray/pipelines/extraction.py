@@ -73,6 +73,23 @@ NODE_SCHEMA = pa.schema(
 )
 
 
+LINKED_NODE_SCHEMA = pa.schema(
+    [
+        ("url", pa.string()),
+        ("doc_id", pa.string()),
+        ("node_idx", pa.int32()),
+        ("node_id", pa.string()),
+        ("status", pa.string()),
+        ("error", pa.string()),
+        ("text", pa.string()),
+        ("tokens", pa.int64()),
+        ("prev_id", pa.string()),
+        ("next_id", pa.string()),
+        ("parent_id", pa.string()),
+    ]
+)
+
+
 def make_pipeline(name: str) -> IngestionPipeline:
     if name == "basic":
         return BasicIngestionPipeline()
@@ -84,6 +101,9 @@ def make_pipeline(name: str) -> IngestionPipeline:
 
 
 def node_id(url: str, idx: int) -> str:
+    """First 64 bits of sha1("url:idx"). Collision bound: any two of n
+    ids coincide with probability ≈ n²/2⁶⁵ (≈2.7% at 10⁹ nodes), so
+    past ~10⁸ nodes key corpus-wide joins on (url, node_idx) instead."""
     return hashlib.sha1(f"{url}:{idx}".encode()).hexdigest()[:16]
 
 
@@ -114,180 +134,134 @@ def doc_row(url: str, nodes: List[Node]) -> Dict:
     }
 
 
-def _err_row(url: str, exc: Exception) -> Dict:
-    return {
-        "url": url,
-        "status": "error",
-        "error": f"{type(exc).__name__}: {exc}"[:500],
-        "n_nodes": 0,
-        "n_pages": 0,
-        "total_tokens": 0,
-        "node_texts": [],
-        "extracted_text": "",
-    }
-
-
-class ExtractDocs:
-    """map_batches kernel: pages batch → one doc-summary row per page.
-
-    A callable class so stateful use (actor pool) is available; the
-    pipeline object and compiled regexes are built once per actor in
-    ``__init__`` rather than per batch. Stateless task mode also works
-    (Ray constructs it per task) — the constructor is cheap by design.
-    """
-
-    def __init__(self, pipeline: str = "basic"):
-        self.pipeline_name = pipeline
-        self.pipeline = make_pipeline(pipeline)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        htmls = batch["html"].to_pylist()
-        rows = []
-        for url, html in zip(urls, htmls):
-            try:
-                nodes = parse_page(html, self.pipeline)
-                rows.append(doc_row(url, nodes))
-            except Exception as exc:  # poison-doc isolation
-                rows.append(_err_row(url, exc))
-        return pa.Table.from_pylist(rows, schema=DOC_SCHEMA)
-
-
-class ExtractNodes:
-    """map_batches kernel: pages batch → one row per extracted node.
-
-    Poison-doc parity with :class:`ExtractDocs`: a document whose parse
-    raises emits ONE counted error row (status="error", node_idx=-1)
-    instead of silently vanishing — at corpus scale a silent drop is an
-    unaccounted row with no way to audit coverage."""
-
-    def __init__(self, pipeline: str = "basic"):
-        self.pipeline = make_pipeline(pipeline)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for url, html in zip(batch["url"].to_pylist(), batch["html"].to_pylist()):
-            try:
-                nodes = parse_page(html, self.pipeline)
-            except Exception as exc:  # poison-doc isolation, counted
-                rows.append(
-                    {
-                        "url": url,
-                        "node_idx": -1,
-                        "node_id": "",
-                        "status": "error",
-                        "error": f"{type(exc).__name__}: {exc}"[:500],
-                        "variants": [],
-                        "text": "",
-                        "tokens": 0,
-                        "start_page": 0,
-                        "end_page": 0,
-                        "n_elements": 0,
-                        "bbox": [],
-                    }
-                )
-                continue
-            for idx, n in enumerate(nodes):
-                rows.append(
-                    {
-                        "url": url,
-                        "node_idx": idx,
-                        "node_id": node_id(url, idx),
-                        "status": "ok",
-                        "error": "",
-                        "variants": sorted(n.variant),
-                        "text": n.text,
-                        "tokens": n.tokens,
-                        "start_page": n.start_page,
-                        "end_page": n.end_page,
-                        "n_elements": len(n.elements),
-                        "bbox": [
-                            {
-                                "page": b.page,
-                                "page_height": b.page_height,
-                                "page_width": b.page_width,
-                                "x0": b.x0,
-                                "y0": b.y0,
-                                "x1": b.x1,
-                                "y1": b.y1,
-                            }
-                            for b in n.bbox
-                        ],
-                    }
-                )
-        return pa.Table.from_pylist(rows, schema=NODE_SCHEMA)
-
-
-LINKED_NODE_SCHEMA = pa.schema(
-    [
-        ("url", pa.string()),
-        ("doc_id", pa.string()),
-        ("node_idx", pa.int32()),
-        ("node_id", pa.string()),
-        ("status", pa.string()),
-        ("error", pa.string()),
-        ("text", pa.string()),
-        ("tokens", pa.int64()),
-        ("prev_id", pa.string()),
-        ("next_id", pa.string()),
-        ("parent_id", pa.string()),
+def node_rows(url: str, nodes: List[Node]) -> List[Dict]:
+    return [
+        {
+            "url": url,
+            "node_idx": idx,
+            "node_id": node_id(url, idx),
+            "status": "ok",
+            "error": "",
+            "variants": sorted(n.variant),
+            "text": n.text,
+            "tokens": n.tokens,
+            "start_page": n.start_page,
+            "end_page": n.end_page,
+            "n_elements": len(n.elements),
+            "bbox": [
+                {
+                    "page": b.page,
+                    "page_height": b.page_height,
+                    "page_width": b.page_width,
+                    "x0": b.x0,
+                    "y0": b.y0,
+                    "x1": b.x1,
+                    "y1": b.y1,
+                }
+                for b in n.bbox
+            ],
+        }
+        for idx, n in enumerate(nodes)
     ]
-)
 
 
-class ExtractLinkedNodes:
-    """map_batches kernel: pages batch → llama-index-style linked nodes.
+def _doc_id(url: str) -> str:
+    # 64 bits, the same collision bound as node_id
+    return hashlib.sha1(url.encode()).hexdigest()[:16]
 
-    Mirrors ``ParsedDocument.to_llama_index_nodes`` (reference:
-    src/openparse/schemas.py:707-762): nodes in reading order, each linked
-    to its PREVIOUS/NEXT sibling and PARENT document. The window is
-    per-document and every document's nodes are produced inside one batch
-    call, so the linkage never crosses a block boundary — no shuffle."""
+
+def linked_node_rows(url: str, nodes: List[Node]) -> List[Dict]:
+    """Nodes in reading order, each linked to its PREVIOUS/NEXT sibling
+    and PARENT document — ``ParsedDocument.to_llama_index_nodes``
+    (reference: src/openparse/schemas.py:707-762). The window is one
+    document, so the linkage never crosses a block boundary."""
+    doc_id = _doc_id(url)
+    ids = [node_id(url, i) for i in range(len(nodes))]
+    return [
+        {
+            "url": url,
+            "doc_id": doc_id,
+            "node_idx": i,
+            "node_id": ids[i],
+            "status": "ok",
+            "error": "",
+            "text": n.text,
+            "tokens": n.tokens,
+            "prev_id": ids[i - 1] if i > 0 else "",
+            "next_id": ids[i + 1] if i + 1 < len(ids) else "",
+            "parent_id": doc_id,
+        }
+        for i, n in enumerate(nodes)
+    ]
+
+
+def error_row(schema: pa.Schema, url: str, exc: Exception, **fields) -> Dict:
+    """A poison document's one counted row in any output: empty values,
+    ``status="error"``, the exception capped at 500 chars, then ``fields``."""
+    row = {
+        f.name: [] if pa.types.is_list(f.type) else "" if pa.types.is_string(f.type) else 0
+        for f in schema
+    }
+    row.update(url=url, status="error", error=f"{type(exc).__name__}: {exc}"[:500])
+    row.update(fields)
+    return row
+
+
+class _Extract:
+    """map_batches kernel, the one extraction loop: per document
+    ``parse_page``, then the output's row emitter ``emit``; a document
+    that raises becomes ONE counted :func:`error_row` instead of failing
+    the block or silently vanishing. Subclasses pick only the schema,
+    the emitter and the error row's extra fields. The pipeline is built
+    once per instance (per actor in an actor pool)."""
+
+    schema: pa.Schema
 
     def __init__(self, pipeline: str = "basic"):
         self.pipeline = make_pipeline(pipeline)
 
+    def error_fields(self, url: str) -> Dict:
+        return {}
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows = []
         for url, html in zip(batch["url"].to_pylist(), batch["html"].to_pylist()):
-            doc_id = hashlib.sha1(url.encode()).hexdigest()[:16]
             try:
-                nodes = parse_page(html, self.pipeline)
+                rows.extend(self.emit(url, parse_page(html, self.pipeline)))
             except Exception as exc:  # poison-doc isolation, counted
-                rows.append(
-                    {
-                        "url": url,
-                        "doc_id": doc_id,
-                        "node_idx": -1,
-                        "node_id": "",
-                        "status": "error",
-                        "error": f"{type(exc).__name__}: {exc}"[:500],
-                        "text": "",
-                        "tokens": 0,
-                        "prev_id": "",
-                        "next_id": "",
-                        "parent_id": doc_id,
-                    }
-                )
-                continue
-            ids = [node_id(url, i) for i in range(len(nodes))]
-            for i, n in enumerate(nodes):
-                rows.append(
-                    {
-                        "url": url,
-                        "doc_id": doc_id,
-                        "node_idx": i,
-                        "node_id": ids[i],
-                        "status": "ok",
-                        "error": "",
-                        "text": n.text,
-                        "tokens": n.tokens,
-                        "prev_id": ids[i - 1] if i > 0 else "",
-                        "next_id": ids[i + 1] if i + 1 < len(ids) else "",
-                        "parent_id": doc_id,
-                    }
-                )
-        return pa.Table.from_pylist(rows, schema=LINKED_NODE_SCHEMA)
+                rows.append(error_row(self.schema, url, exc, **self.error_fields(url)))
+        return pa.Table.from_pylist(rows, schema=self.schema)
+
+
+class ExtractDocs(_Extract):
+    """One doc-summary row per page (:func:`doc_row`)."""
+
+    schema = DOC_SCHEMA
+
+    @staticmethod
+    def emit(url: str, nodes: List[Node]) -> List[Dict]:
+        return [doc_row(url, nodes)]
+
+
+class ExtractNodes(_Extract):
+    """One row per node (:func:`node_rows`); error rows have node_idx=-1."""
+
+    schema = NODE_SCHEMA
+    emit = staticmethod(node_rows)
+
+    def error_fields(self, url: str) -> Dict:
+        return {"node_idx": -1}
+
+
+class ExtractLinkedNodes(_Extract):
+    """One linked node per row (:func:`linked_node_rows`)."""
+
+    schema = LINKED_NODE_SCHEMA
+    emit = staticmethod(linked_node_rows)
+
+    def error_fields(self, url: str) -> Dict:
+        doc_id = _doc_id(url)
+        return {"node_idx": -1, "doc_id": doc_id, "parent_id": doc_id}
 
 
 def extract(
@@ -295,28 +269,18 @@ def extract(
     pipeline: str = "basic",
     output: str = "docs",
     batch_size: int = 32,
-    skew_split_bytes: Optional[int] = None,
     lang: Optional[str] = None,
-    concurrency=None,
 ):
     """Build the streaming extraction pipeline over a pages Dataset.
 
-    Skew handling (north rule) is block-granular by default: Ray Data caps
-    block size (``DataContext.target_max_block_size``), so oversized
-    documents land in blocks with few rows and get their own tasks, while
-    ``batch_size`` bounds how many documents share one kernel invocation —
-    a 100x document delays at most one small batch, never a partition.
-    Measured on the 20k-doc corpus this single-pass plan beats the
-    two-branch size split ~2x at 32 CPUs: it reads the input once and
-    keeps read→extract fused.
-
-    For pathological skew (document sizes varying 1000x inside a block),
-    ``skew_split_bytes`` enables the explicit two-branch plan: rows above
-    the threshold get a dedicated branch repartitioned to one row per
-    block (one task per oversized document, ``batch_size=1``) and unioned
-    back. That costs a second pass over the input — worth it only when
-    stragglers dominate. ``lang`` applies a vectorized Arrow filter before
-    parsing (prune early).
+    Skew handling is block-granular: Ray Data caps block size
+    (``DataContext.target_max_block_size``), so oversized documents
+    land in blocks with few rows and get their own tasks, while
+    ``batch_size`` bounds how many documents share one kernel
+    invocation — a 100x document delays at most one small batch, never
+    a partition. The plan reads the input once and keeps read→extract
+    fused. ``lang`` applies a vectorized Arrow filter before parsing
+    (prune early).
     """
     import pyarrow.compute as pc
 
@@ -325,40 +289,15 @@ def extract(
         "nodes": ExtractNodes,
         "linked_nodes": ExtractLinkedNodes,
     }[output]
-    kw = {"batch_format": "pyarrow"}
-    if concurrency is not None:
-        kw["concurrency"] = concurrency
 
     if lang is not None:
         ds = ds.map_batches(
             lambda t, _l=lang: t.filter(pc.equal(t["lang"], _l)),
             batch_format="pyarrow",
         )
-
-    if skew_split_bytes:
-        thr = skew_split_bytes
-        small = ds.map_batches(
-            lambda t: t.filter(pc.less_equal(pc.binary_length(t["html"]), thr)),
-            batch_format="pyarrow",
-        )
-        large = ds.map_batches(
-            lambda t: t.filter(pc.greater(pc.binary_length(t["html"]), thr)),
-            batch_format="pyarrow",
-        )
-        out_small = small.map_batches(
-            kernel_cls(pipeline), batch_size=batch_size, **kw
-        )
-        # One row per block: without this, read→filter→extract fuse into a
-        # single task per input block and a block's several 100x documents
-        # run serially — the straggler that capped scaling efficiency.
-        # The exchange only moves the (rare) oversized rows, never the
-        # corpus, so it stays cheap at any scale.
-        out_large = large.repartition(target_num_rows_per_block=1).map_batches(
-            kernel_cls(pipeline), batch_size=1, **kw
-        )
-        return out_small.union(out_large)
-
-    return ds.map_batches(kernel_cls(pipeline), batch_size=batch_size, **kw)
+    return ds.map_batches(
+        kernel_cls(pipeline), batch_size=batch_size, batch_format="pyarrow"
+    )
 
 
 def prepare_training_corpus(
@@ -378,6 +317,10 @@ def prepare_training_corpus(
     Composes the per-document reference semantics with the corpus-level
     scale operators; deterministic output at any parallelism (gated by
     tests/test_pipeline_identity.py::test_prepare_training_corpus_*).
+
+    ``fp`` is md5[:16] hex = 64 bits. Collision bound: two of n distinct
+    texts share an fp with probability ≈ n²/2⁶⁵ (≈2.7% at 10⁹ docs), and
+    a collision silently drops the larger-url text as a duplicate.
     """
     import hashlib as _hashlib
 

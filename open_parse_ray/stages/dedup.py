@@ -2907,143 +2907,3 @@ def fuzzy_decontamination(
         concurrency=(1, 8),
     )
 
-
-def hot_keys_for_table(
-    sf_dir: str, table: str, col: str, hot_k: int = 8
-) -> np.ndarray:
-    """Top-``hot_k`` heaviest int64 key values of one raw-table column,
-    from a COLUMN-PRUNED distributed scan (per-block top-count
-    partials, merged once on the driver — the hot_salted_groupby
-    pre-pass, but reading only the key column instead of re-scanning a
-    derived exchange input). This is how operators whose exchange keys
-    come straight from a base table get skew isolation for the cost of
-    one narrow column read. The ranking is a heuristic placement choice
-    (a mis-ranked key costs balance only, never correctness)."""
-    import ray.data as rd
-
-    from open_parse_ray.sources.tables import table_path
-
-    cap = 4 * hot_k
-    if hot_k <= 0:
-        return np.array([], dtype=np.int64)
-
-    def count_partial(b: pd.DataFrame) -> pd.DataFrame:
-        if len(b) == 0:
-            return pd.DataFrame(
-                {"k": pd.Series([], dtype="int64"),
-                 "c": pd.Series([], dtype="int64")}
-            )
-        vc = b[col].astype("int64").value_counts().iloc[:cap]
-        return pd.DataFrame(
-            {
-                "k": vc.index.to_numpy(dtype=np.int64),
-                "c": vc.to_numpy(dtype=np.int64),
-            }
-        )
-
-    parts = (
-        rd.read_parquet(table_path(sf_dir, table), columns=[col])
-        .map_batches(count_partial, batch_format="pandas", batch_size=65536)
-        .to_pandas()
-    )
-    if not len(parts):
-        return np.array([], dtype=np.int64)
-    top = (
-        parts.groupby("k", as_index=False)["c"].sum()
-        .sort_values(["c", "k"], ascending=[False, True])
-        .head(hot_k)
-    )
-    return np.sort(top["k"].to_numpy(dtype=np.int64))
-
-
-def hot_salted_groupby(
-    ds,
-    key_of,
-    fn,
-    num_parts: Optional[int] = None,
-    hot_k: int = 8,
-    hot_keys: Optional[np.ndarray] = None,
-):
-    """Skew-ADAPTIVE variant of :func:`salted_groupby`: a cheap count
-    pre-pass (per-block top-count partials, merged once — the
-    Misra-Gries shape with exact per-block counts) finds the ``hot_k``
-    heaviest keys and pins EACH to its own dedicated partition;
-    everything else salts over the remaining ``num_parts`` partitions
-    as usual. Co-location is unchanged — every row of one key still
-    lands in exactly one partition — so ``fn`` sees identical groups
-    and the result is bitwise equal to salted_groupby (gated). What
-    changes is load: a web-scale hot key (the one user with 10^8
-    events, the one viral page) no longer SHARES a partition with
-    1/num_parts of all other keys — the straggler partition shrinks
-    from (hot + cold/num_parts) to exactly the hot key, and the cold
-    partitions rebalance over the full width.
-
-    The pre-pass partials are top-(4·hot_k) per block (bounded rows to
-    the driver); the global top-hot_k by summed partial count is a
-    HEURISTIC placement choice — a mis-ranked key costs balance only,
-    never correctness, which is why the cheap sketch is enough.
-
-    ``key_of(batch) -> int64 Series`` extracts the REAL key (pre-hash).
-
-    Pass ``hot_keys`` (sorted or not; deduped here) to SKIP the count
-    pre-pass — operators whose exchange key comes straight from a base
-    table get the hot set from :func:`hot_keys_for_table`'s
-    column-pruned scan instead of re-scanning (and re-computing) the
-    derived exchange input.
-    """
-    import ray
-
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    if hot_keys is not None:
-        hot = np.unique(np.asarray(hot_keys, dtype=np.int64))
-        hot_k = len(hot)
-    else:
-        cap = 4 * hot_k
-
-        def count_partial(b: pd.DataFrame) -> pd.DataFrame:
-            if len(b) == 0:
-                return pd.DataFrame(
-                    {"k": pd.Series([], dtype="int64"),
-                     "c": pd.Series([], dtype="int64")}
-                )
-            vc = key_of(b).value_counts().iloc[:cap]
-            return pd.DataFrame(
-                {
-                    "k": vc.index.to_numpy(dtype=np.int64),
-                    "c": vc.to_numpy(dtype=np.int64),
-                }
-            )
-
-        parts = (
-            ds.map_batches(count_partial, batch_format="pandas", batch_size=65536)
-            .to_pandas()
-        )
-        if len(parts):
-            top = (
-                parts.groupby("k", as_index=False)["c"].sum()
-                .sort_values(["c", "k"], ascending=[False, True])
-                .head(hot_k)
-            )
-            hot = np.sort(top["k"].to_numpy(dtype=np.int64))
-        else:
-            hot = np.array([], dtype=np.int64)
-    hot_ref = ray.put(hot)
-
-    def salt_of(b: pd.DataFrame) -> pd.Series:
-        hk = ray.get(hot_ref)
-        keys = key_of(b).to_numpy(dtype=np.int64)
-        pid = (
-            pd.util.hash_pandas_object(pd.Series(keys), index=False).to_numpy()
-            % num_parts
-        ).astype(np.int64)
-        if len(hk):
-            idx = np.searchsorted(hk, keys)
-            idx_c = np.clip(idx, 0, len(hk) - 1)
-            is_hot = hk[idx_c] == keys
-            pid = np.where(is_hot, num_parts + idx_c, pid)
-        return pd.Series(pid, index=b.index)
-
-    # total partition space = num_parts cold + hot_k dedicated
-    return salted_groupby(ds, salt_of, fn, num_parts=num_parts + hot_k)

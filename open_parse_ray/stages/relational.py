@@ -1710,24 +1710,16 @@ def orders_topk_by_value(sf_dir: str, k: int = 20):
     # coalesce the k rows into ONE block so the rank is global
     return top.repartition(1).map_batches(add_rank, batch_format="pandas", batch_size=k)
 
-def events_user_rolling(sf_dir: str, frame: int = 3, hot_k: int = 0):
+def events_user_rolling(sf_dir: str, frame: int = 3):
     """Per-user ROWS-frame rolling sum — the ordered window-frame
     aggregate family member (distinct from the time-bucket sliding
     window of events_sliding): for each event, the sum of the user's
     last ``frame`` event values (cents), ordered by (ts, event_id).
 
     Scale shape: one salted exchange on user_id co-locates each
-    user's events; ``hot_k>0`` opts into hot-key ISOLATION
-    (hot_salted_groupby with the hot set from a column-pruned base
-    scan, bitwise-equality-gated vs the plain path). Measured at 3-5M
-    rows with 1-32 hot users (BASELINE.md r5): isolation costs the
-    pre-pass (~+25%) and wins nothing here, because the 4x-CPU
-    adaptive salt width already over-partitions — a double-weight
-    partition raises max core load ~1.25x, and a mega-key's own kernel
-    time can't shrink by isolation. Default is therefore the plain
-    path; turn hot_k on when one key's rows + a cold slice would
-    exceed a WORKER'S MEMORY (the isolation bound is the key's own
-    size), not for latency. inside the partition the frame sum
+    user's events; a hot user's partition carries its rows plus
+    1/num_parts of the rest (BASELINE.md r5 measured hot-key isolation
+    15-25% slower, never faster). Inside the partition the frame sum
     is an integer-exact vectorized cumsum difference
     (cs - cs.shift(frame)), never a Python loop. Returns
     (event_id, user_id, roll_cents) — oracle: SUM(...) OVER (PARTITION
@@ -1735,11 +1727,7 @@ def events_user_rolling(sf_dir: str, frame: int = 3, hot_k: int = 0):
     CURRENT ROW)."""
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import (
-        hot_keys_for_table,
-        hot_salted_groupby,
-        salted_groupby,
-    )
+    from open_parse_ray.stages.dedup import salted_groupby
 
     ds = rd.read_parquet(
         table_path(sf_dir, "events"), columns=["event_id", "user_id", "ts", "value"]
@@ -1771,13 +1759,6 @@ def events_user_rolling(sf_dir: str, frame: int = 3, hot_k: int = 0):
             }
         )
 
-    if hot_k > 0:
-        return hot_salted_groupby(
-            keyed,
-            lambda b: b["user_id"],
-            roll,
-            hot_keys=hot_keys_for_table(sf_dir, "events", "user_id", hot_k),
-        )
     return salted_groupby(
         keyed,
         lambda b: pd.util.hash_pandas_object(b["user_id"], index=False).astype("int64"),
@@ -2034,26 +2015,19 @@ def events_robust_stats(sf_dir: str):
     )
 
 
-def events_session_ids(sf_dir: str, gap_minutes: int = 30, hot_k: int = 0):
+def events_session_ids(sf_dir: str, gap_minutes: int = 30):
     """Per-EVENT sessionization (sessions_per_user's row-level twin):
     assign every event its user-scoped session index (1-based, in
     (ts, event_id) order; a new session starts when the gap to the
     user's previous event exceeds ``gap_minutes``). The window-function
     shape — sum of gap-start flags over the per-user ordered prefix —
-    computed with one user-salted exchange (``hot_k>0`` opts into
-    hot-key isolation via hot_keys_for_table's column-pruned pre-pass,
-    bitwise-equality-gated; default plain — see events_user_rolling's
-    measured rationale) and a partition-wide vectorized cumsum (no
-    per-user Python loop: session indices are the grouped cumulative
-    sum of start flags, reset at user boundaries by construction).
-    Returns (event_id, user_id, session_idx)."""
+    computed with one user-salted exchange and a partition-wide
+    vectorized cumsum (no per-user Python loop: session indices are the
+    grouped cumulative sum of start flags, reset at user boundaries by
+    construction). Returns (event_id, user_id, session_idx)."""
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import (
-        hot_keys_for_table,
-        hot_salted_groupby,
-        salted_groupby,
-    )
+    from open_parse_ray.stages.dedup import salted_groupby
 
     ds = rd.read_parquet(
         table_path(sf_dir, "events"), columns=["user_id", "ts", "event_id"]
@@ -2083,13 +2057,6 @@ def events_session_ids(sf_dir: str, gap_minutes: int = 30, hot_k: int = 0):
             }
         )
 
-    if hot_k > 0:
-        return hot_salted_groupby(
-            ds,
-            lambda b: b["user_id"],
-            assign,
-            hot_keys=hot_keys_for_table(sf_dir, "events", "user_id", hot_k),
-        )
     return salted_groupby(ds, lambda b: b["user_id"], assign)
 
 
@@ -2862,26 +2829,20 @@ def large_volume_orders(sf_dir: str, min_qty: int = 250):
     )
 
 
-def user_journeys(sf_dir: str, max_len: int = 64, hot_k: int = 0):
+def user_journeys(sf_dir: str, max_len: int = 64):
     """Per-user behavioral JOURNEY strings — the event-log→training-
     sequence assembly step for sequence models: each user's event types
     joined with '>' in (ts, event_id) order, TRUNCATED to the first
     ``max_len`` events (the scale bound on the output string — a bot
     user with 10^8 events must not produce a 10^8-token row; the cap is
     part of the spec and mirrored by the oracle's row_number cutoff),
-    plus the UNtruncated total count. One user-salted exchange
-    (``hot_k>0`` opts into hot-key isolation, bitwise-equality-gated;
-    default plain — see events_user_rolling's measured rationale);
-    inside each partition a single
+    plus the UNtruncated total count. One user-salted exchange; inside
+    each partition a single
     lexsort + cumcount builds every journey vectorized (no per-user
     Python). Returns (user_id, n_events, journey)."""
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import (
-        hot_keys_for_table,
-        hot_salted_groupby,
-        salted_groupby,
-    )
+    from open_parse_ray.stages.dedup import salted_groupby
 
     ds = rd.read_parquet(
         table_path(sf_dir, "events"), columns=["user_id", "ts", "event_id", "event_type"]
@@ -2917,13 +2878,6 @@ def user_journeys(sf_dir: str, max_len: int = 64, hot_k: int = 0):
         out = n.merge(j, on="user_id")
         return out.astype({"user_id": "int64", "n_events": "int64"})
 
-    if hot_k > 0:
-        return hot_salted_groupby(
-            ds,
-            lambda b: b["user_id"],
-            assemble,
-            hot_keys=hot_keys_for_table(sf_dir, "events", "user_id", hot_k),
-        )
     return salted_groupby(ds, lambda b: b["user_id"], assemble)
 
 

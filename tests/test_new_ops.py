@@ -3158,83 +3158,6 @@ def test_events_value_sketch_quantiles_corpus(ray_session):
             assert min(abs(hi - target), abs(lo - target)) <= budget
 
 
-def test_hot_salted_groupby_equality_and_isolation(ray_session, tmp_path):
-    """Skew-adaptive groupby: (1) bitwise equal to plain salted_groupby
-    (co-location is identical, only placement changes) on the real
-    events table; (2) under extreme skew (one user = 30k of 35k rows),
-    the hot key gets a partition of its OWN — no cold key shares it."""
-    from open_parse_ray.stages.dedup import hot_salted_groupby, salted_groupby
-
-    import ray.data as rd
-
-    def per_user(part: pd.DataFrame) -> pd.DataFrame:
-        # integer cents per the repo's no-float-partials rule: the gate
-        # compares BITWISE across two different salt widths, and a float
-        # sum would be sensitive to intra-partition row order (a ulp
-        # difference is exactly what this gate must not depend on)
-        part = part.assign(
-            _c=np.round(part["value"].to_numpy() * 100).astype(np.int64)
-        )
-        g = part.groupby("user_id", as_index=False).agg(
-            n=("event_id", "size"), v=("_c", "sum")
-        )
-        g["n"] = g["n"].astype("int64")
-        return g
-
-    key = lambda b: b["user_id"]
-    src = "/root/testdata/sf0.001/events.parquet"
-    cols = ["event_id", "user_id", "value"]
-    a = (
-        hot_salted_groupby(rd.read_parquet(src, columns=cols), key, per_user)
-        .to_pandas().sort_values("user_id").reset_index(drop=True)
-    )
-    b = (
-        salted_groupby(rd.read_parquet(src, columns=cols), key, per_user)
-        .to_pandas().sort_values("user_id").reset_index(drop=True)
-    )
-    assert a.equals(b)
-
-    rng = np.random.default_rng(3)
-    n_hot, n_cold = 30_000, 5_000
-    df = pd.DataFrame(
-        {
-            "event_id": np.arange(n_hot + n_cold, dtype=np.int64),
-            "user_id": np.concatenate(
-                [np.ones(n_hot, dtype=np.int64), rng.integers(2, 500, n_cold)]
-            ),
-            "value": 1.0,
-        }
-    )
-
-    def partition_census(part: pd.DataFrame) -> pd.DataFrame:
-        u = part["user_id"].to_numpy()
-        return pd.DataFrame(
-            {
-                "has_hot": [np.int64((u == 1).any())],
-                "n_keys": [np.int64(len(np.unique(u)))],
-                "n_rows": [np.int64(len(u))],
-            }
-        )
-
-    census = hot_salted_groupby(
-        rd.from_pandas(df), key, partition_census
-    ).to_pandas()
-    hot_parts = census[census["has_hot"] == 1]
-    assert len(hot_parts) == 1
-    assert int(hot_parts["n_keys"].iloc[0]) == 1  # hot user is alone
-    assert int(hot_parts["n_rows"].iloc[0]) == n_hot
-    # and the result itself still matches the plain path
-    c1 = (
-        hot_salted_groupby(rd.from_pandas(df), key, per_user)
-        .to_pandas().sort_values("user_id").reset_index(drop=True)
-    )
-    c2 = (
-        salted_groupby(rd.from_pandas(df), key, per_user)
-        .to_pandas().sort_values("user_id").reset_index(drop=True)
-    )
-    assert c1.equals(c2)
-
-
 def test_linestatus_priority_counts_hand_case(ray_session, tmp_path):
     """High = URGENT/HIGH only; out-of-window ships never count; both
     grid cells split high/low independently."""
@@ -4453,59 +4376,3 @@ def test_dup_span_excise_exact_closed_form(ray_session, tmp_path):
                 row["text_md5"]
                 == _hl.md5(" ".join(kept).encode()).hexdigest()
             ), (pid, L, a)
-
-
-def test_hot_salted_promotion_equality(ray_session, tmp_path):
-    """r4-verdict worklist #7: the user-salted event operators now run
-    skew-isolated (hot_salted_groupby with hot keys from a
-    column-pruned base scan). Forced plain path (hot_k=0) must be
-    BITWISE equal (integer/string outputs only — the float-across-
-    salt-widths trap does not apply) on a hostile distribution: one
-    user holding ~85% of all events."""
-    rng = np.random.default_rng(3)
-    n_hot, n_cold = 6_000, 1_000
-    user = np.concatenate(
-        [np.ones(n_hot, dtype=np.int64), rng.integers(2, 40, n_cold)]
-    )
-    ts0 = pd.Timestamp("2024-01-01").value // 1000
-    ts = ts0 + np.sort(rng.integers(0, 30 * 86_400_000_000, n_hot + n_cold))
-    pd.DataFrame(
-        {
-            "event_id": np.arange(n_hot + n_cold, dtype=np.int64),
-            "ts": pd.to_datetime(ts, unit="us"),
-            "user_id": user,
-            "event_type": rng.choice(["click", "view", "purchase"], n_hot + n_cold),
-            "value": rng.integers(1, 500, n_hot + n_cold) / 100.0,
-            "props": "{}",
-        }
-    ).to_parquet(tmp_path / "events.parquet")
-
-    from open_parse_ray.stages.relational import (
-        events_session_ids,
-        events_user_rolling,
-        user_journeys,
-    )
-
-    for op, sort_cols in (
-        (events_user_rolling, ["event_id"]),
-        (events_session_ids, ["event_id"]),
-        (user_journeys, ["user_id"]),
-    ):
-        hot = (
-            _df(op(str(tmp_path), hot_k=8))
-            .sort_values(sort_cols)
-            .reset_index(drop=True)
-        )
-        plain = (
-            _df(op(str(tmp_path), hot_k=0))
-            .sort_values(sort_cols)
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(
-            hot[sorted(hot.columns)], plain[sorted(plain.columns)]
-        )
-
-    from open_parse_ray.stages.dedup import hot_keys_for_table
-
-    hk = hot_keys_for_table(str(tmp_path), "events", "user_id", 8)
-    assert 1 in hk.tolist()  # the 85% user is identified as hot

@@ -2,7 +2,7 @@
 
 (a) the Ray Data pipeline's extracted text per url is byte-identical to
     the single-document pure-python kernel;
-(b) the result is invariant to batch size / parallelism / skew branching;
+(b) the result is invariant to batch size / parallelism;
 (c) re-running produces identical bytes (determinism).
 """
 
@@ -23,16 +23,13 @@ def kernel_golden():
     return golden
 
 
-def _ray_results(batch_size, skew_split_bytes):
-    ds = read_pages(0.001)
-    out = extract(
-        ds, output="docs", batch_size=batch_size, skew_split_bytes=skew_split_bytes
-    )
+def _ray_results(batch_size):
+    out = extract(read_pages(0.001), output="docs", batch_size=batch_size)
     return {r["url"]: r for r in out.take_all()}
 
 
 def test_ray_matches_kernel_bytes(ray_session, kernel_golden):
-    results = _ray_results(batch_size=32, skew_split_bytes=200_000)
+    results = _ray_results(batch_size=32)
     for url, expect in kernel_golden.items():
         got = results[url]
         assert got["status"] == "ok"
@@ -43,40 +40,54 @@ def test_ray_matches_kernel_bytes(ray_session, kernel_golden):
 
 
 def test_invariant_to_batch_size_and_skew_branch(ray_session):
-    a = _ray_results(batch_size=4, skew_split_bytes=None)
-    b = _ray_results(batch_size=64, skew_split_bytes=50_000)
+    """Skew handling is block-granular: batch_size decides how many
+    documents, the 100x tail included, share one kernel call. Text must
+    not depend on it."""
+    a = _ray_results(batch_size=4)
+    b = _ray_results(batch_size=64)
     assert set(a) == set(b)
     for url in a:
         assert a[url]["extracted_text"] == b[url]["extracted_text"], url
 
 
 def test_rerun_is_deterministic(ray_session):
-    a = _ray_results(batch_size=32, skew_split_bytes=200_000)
-    b = _ray_results(batch_size=32, skew_split_bytes=200_000)
+    a = _ray_results(batch_size=32)
+    b = _ray_results(batch_size=32)
     assert {u: r["extracted_text"] for u, r in a.items()} == {
         u: r["extracted_text"] for u, r in b.items()
     }
 
 
 def test_all_docs_parse_ok(ray_session):
-    results = _ray_results(batch_size=32, skew_split_bytes=200_000)
+    results = _ray_results(batch_size=32)
     assert len(results) == 200
     bad = [r for r in results.values() if r["status"] != "ok"]
     assert bad == []
 
 
-def test_nodes_output_consistent_with_docs(ray_session):
-    ds = read_pages(0.001)
-    nodes = extract(ds, output="nodes", batch_size=32).take_all()
-    docs = _ray_results(batch_size=32, skew_split_bytes=200_000)
+def _per_url(output):
     by_url = {}
-    for r in nodes:
+    for r in extract(read_pages(0.001), output=output, batch_size=32).take_all():
         by_url.setdefault(r["url"], []).append(r)
-    for url, rows in by_url.items():
+    for rows in by_url.values():
         rows.sort(key=lambda r: r["node_idx"])
+    return by_url
+
+
+def test_nodes_output_consistent_with_docs(ray_session):
+    """nodes and linked_nodes carry, per url and in node order, exactly
+    the docs output's node texts, under the same node ids."""
+    docs = _ray_results(batch_size=32)
+    nodes = _per_url("nodes")
+    linked = _per_url("linked_nodes")
+    assert set(linked) == set(nodes)
+    for url, rows in nodes.items():
         assert [r["text"] for r in rows] == list(docs[url]["node_texts"])
         # deterministic ids
         assert len({r["node_id"] for r in rows}) == len(rows)
+        assert [(r["text"], r["node_id"]) for r in linked[url]] == [
+            (r["text"], r["node_id"]) for r in rows
+        ], url
 
 
 def test_prepare_training_corpus_deterministic_and_gated(ray_session):

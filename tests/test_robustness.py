@@ -568,8 +568,9 @@ def test_salted_ops_under_extreme_skew(ray_session, tmp_path):
             "event_id": np.arange(n_hot + n_cold, dtype=np.int64),
             "ts": pd.to_datetime(ts, unit="us"),
             "user_id": user,
-            "event_type": "click",
-            "value": 1.0,
+            # varied so rolling sums, journeys and modal types differ per row
+            "event_type": rng.choice(["click", "view", "purchase"], n_hot + n_cold),
+            "value": rng.integers(1, 500, n_hot + n_cold) / 100.0,
             "props": "{}",
         }
     ).to_parquet(tmp_path / "events.parquet")
@@ -670,7 +671,11 @@ def test_salted_ops_under_extreme_skew(ray_session, tmp_path):
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf}/{t}.parquet'")
 
     for name in [
+        # the user-salted event operators: the hot user's 30k events all
+        # land in one partition and must still match row for row
         "events_session_ids",
+        "events_user_rolling",
+        "user_journeys",
         "order_fulfillment_span",
         "loyal_customers",
         "small_qty_order_revenue",
@@ -681,7 +686,7 @@ def test_salted_ops_under_extreme_skew(ray_session, tmp_path):
         # third-continuation ops: the hot part (7, a third of all lines,
         # type ECONOMY) hits the Q8 bitmap + the correlated >15% share;
         # the hot customer (1, half the orders) hits Q8's second
-        # exchange; the single-type event stream hits the CUSUM grid
+        # exchange; the three-type event stream hits the CUSUM grid
         "market_share",
         "dominant_part_suppliers",
         "events_drift_cusum",

@@ -172,3 +172,26 @@ def test_explain_condense_stats():
     assert recs[0]["wall"] == "65.64ms"
     assert recs[1]["tasks"] == 10 and recs[1]["wall"] == "142.91ms"
     assert recs[2].get("cached") is True and recs[2]["tasks"] is None
+
+
+def test_explain_parse_args():
+    """tools/explain.py's command line, Ray-free: the value after a
+    space-separated ``--repeat`` is consumed (never taken as sf_dir), and
+    a bare trailing ``--repeat`` exits with the usage message."""
+    import os
+    import sys
+
+    import pytest
+
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
+    from explain import USAGE, parse_args
+
+    name, sf_dir, repeat = parse_args(["q", "--repeat", "3"])
+    assert (name, sf_dir, repeat) == ("q", parse_args(["q"])[1], 3)
+    assert parse_args(["q", "--repeat", "3", "sf"]) == ("q", "sf", 3)
+    assert parse_args(["q", "sf", "--repeat=5"]) == ("q", "sf", 5)
+    assert parse_args(["q", "sf"]) == ("q", "sf", 2)
+    for argv in (["q", "--repeat"], ["q", "--repeat", "x"], ["--repeat", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == USAGE, argv

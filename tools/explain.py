@@ -45,16 +45,32 @@ def condense_stats(stats: str):
     return out
 
 
-def main(argv):
-    args = [a for a in argv if not a.startswith("--")]
+USAGE = "usage: python tools/explain.py <query_name> [sf_dir] [--repeat N]"
+
+
+def parse_args(argv):
+    """(query_name, sf_dir, repeat) from the command line. ``--repeat N``
+    and ``--repeat=N`` both work; a missing query name or a missing or
+    non-integer N exits with the usage message."""
+    args, repeat = [], 2
+    it = iter(argv)
+    for a in it:
+        if a == "--repeat" or a.startswith("--repeat="):
+            value = a.split("=", 1)[1] if "=" in a else next(it, "")
+            if not value.isdigit():
+                sys.exit(USAGE)
+            repeat = int(value)
+        elif not a.startswith("--"):
+            args.append(a)
+    if not args:
+        sys.exit(USAGE)
     name = args[0]
     sf_dir = args[1] if len(args) > 1 else "/root/testdata/sf0.01"
-    repeat = 2
-    for i, a in enumerate(argv):
-        if a == "--repeat":
-            repeat = int(argv[i + 1])
-        elif a.startswith("--repeat="):
-            repeat = int(a.split("=", 1)[1])
+    return name, sf_dir, repeat
+
+
+def main(argv):
+    name, sf_dir, repeat = parse_args(argv)
 
     import ray
 
