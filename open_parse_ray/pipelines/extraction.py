@@ -304,7 +304,7 @@ def prepare_training_corpus(
     sf_dir_or_ds,
     lang: str = "en",
     min_tokens: int = 50,
-    dedup_parts: int = 32,
+    dedup_parts: Optional[int] = None,
 ):
     """The end-to-end training-data preparation pipeline this engine
     exists for — every stage streaming, in one lazy Dataset:
@@ -321,6 +321,9 @@ def prepare_training_corpus(
     ``fp`` is md5[:16] hex = 64 bits. Collision bound: two of n distinct
     texts share an fp with probability ≈ n²/2⁶⁵ (≈2.7% at 10⁹ docs), and
     a collision silently drops the larger-url text as a duplicate.
+
+    ``dedup_parts`` is the dedup exchange's salt width; ``None`` takes
+    :func:`~open_parse_ray.stages.dedup.default_num_parts`.
     """
     import hashlib as _hashlib
 

@@ -321,27 +321,47 @@ def char_jaccard(a: str, b: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def default_num_parts() -> int:
-    """Adaptive salt width for the salted exchanges: 4x the cluster's
-    CPU count (floor 64). Ray Data's sorted-groupby splits output blocks
-    only BETWEEN salt groups, so the salt count bounds both achievable
-    parallelism and load balance — with ~1 group per core the largest
-    block is a whole core-sized partition and one skewed split stalls
-    the stage (measured: recommend_parts_topk 15.6 s at 32 salts vs
-    5.7 s at 64 on 32 CPUs, same answer — salt-invariance is gated).
-    4x cores keeps the max split ~25% of a core's share while the
-    per-group Python overhead (~3 ms) stays noise. Correctness never
-    depends on the value: every salt is a function of the real key, so
-    co-location holds at any width."""
-    try:
-        import ray
+def _input_bytes(ds) -> int:
+    """Ray's own size estimate of ``ds``'s inputs: the sum of
+    ``infer_metadata().size_bytes`` over the leaves of its logical plan
+    (for a Parquet read, the in-memory estimate from file metadata — no
+    pass over the data, and blind to the column projection, so an upper
+    bound). 0 when any leaf's size is unknown. The one place that reads
+    Ray's internal ``_logical_plan``."""
+    sizes = [
+        op.infer_metadata().size_bytes
+        for op in ds._logical_plan.dag.post_order_iter()
+        if not op.input_dependencies
+    ]
+    return 0 if None in sizes else sum(sizes)
 
-        if ray.is_initialized():
-            cpus = int(ray.cluster_resources().get("CPU", 16))
-            return max(64, 4 * cpus)
-    except Exception:
-        pass
-    return 64
+
+def default_num_parts(ds=None) -> int:
+    """Adaptive salt width for the salted exchanges:
+    ``max(4 × cluster CPUs, ceil(input bytes / target_max_block_size))``.
+
+    Groups per core: Ray Data's sorted-groupby splits output blocks only
+    BETWEEN salt groups, so the salt count bounds both parallelism and
+    load balance — with ~1 group per core one skewed split stalls the
+    stage (measured: recommend_parts_topk 15.6 s at 32 salts vs 5.7 s at
+    64 on 32 CPUs, same answer), and 4 per core keeps the largest split
+    ~25% of a core's share. No more than that: every group pays ~4 ms
+    of Ray's per-group Python, serially per core.
+
+    Bytes per partition: when ``ds`` is given, the width also grows with
+    its input (:func:`_input_bytes`) so that no partition exceeds one
+    Ray block target (``ds.context.target_max_block_size``).
+
+    Correctness never depends on the value: every salt is a function of
+    the real key, so co-location holds at any width."""
+    import ray
+
+    cpus = int(ray.cluster_resources().get("CPU", 16)) if ray.is_initialized() else 16
+    parts = 4 * cpus
+    block = ds.context.target_max_block_size if ds is not None else None
+    if block:
+        parts = max(parts, -(-_input_bytes(ds) // block))
+    return parts
 
 
 def salted_groupby(ds, salt_of, fn, num_parts: Optional[int] = None):
@@ -355,13 +375,14 @@ def salted_groupby(ds, salt_of, fn, num_parts: Optional[int] = None):
     partition, because the salt is a function of the key — while paying
     the per-group overhead only ``num_parts`` times; inside a partition
     ``fn`` uses pandas groupby (vectorized dispatch, ~µs per group).
-    At cluster scale set ``num_parts`` ≈ cores × a small factor so one
-    partition fits a worker's heap.
+    ``num_parts=None`` takes :func:`default_num_parts` of ``ds``: ≥4
+    groups per core for load balance, and enough groups that no
+    partition exceeds one Ray block target of input bytes.
 
     ``salt_of(batch) -> int Series`` computes the salt per row.
     """
     if num_parts is None:
-        num_parts = default_num_parts()
+        num_parts = default_num_parts(ds)
 
     def add_salt(b: pd.DataFrame) -> pd.DataFrame:
         b = b.copy()
@@ -386,7 +407,7 @@ def salted_groupby_arrow(ds, salt_of, fn, num_parts: Optional[int] = None):
     ``salt_of(table) -> np.ndarray`` computes an int64 salt per row.
     """
     if num_parts is None:
-        num_parts = default_num_parts()
+        num_parts = default_num_parts(ds)
     import pyarrow as _pa
 
     def add_salt(t: _pa.Table) -> _pa.Table:
@@ -403,7 +424,9 @@ def salted_groupby_arrow(ds, salt_of, fn, num_parts: Optional[int] = None):
 
 def exact_dedup_groups(sf_dir: str):
     """(doc_id = min id per distinct text, n_copies). Shuffles a 16-byte
-    fp (never the text), salted to 32 partitions (see salted_groupby)."""
+    fp (never the text), salted to :func:`default_num_parts` partitions:
+    ≥4 groups per core, and no partition over one Ray block target of
+    input bytes (see salted_groupby)."""
     import ray.data as rd
 
     ds = rd.read_parquet(table_path(sf_dir, "documents"), columns=["doc_id", "text"])

@@ -127,9 +127,9 @@ def global_rank(keyed, k: int = 4, num_parts: Optional[int] = None):
 
     from open_parse_ray.stages.dedup import default_num_parts
 
-    if num_parts is None:
-        num_parts = default_num_parts()
     keyed = keyed.materialize()
+    if num_parts is None:
+        num_parts = default_num_parts(keyed)
 
     def hist_partial(b: pd.DataFrame) -> pd.DataFrame:
         if len(b) == 0:

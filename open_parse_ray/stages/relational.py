@@ -6686,13 +6686,12 @@ def events_watermark_lateness(
             c = rg.column(i)
             if c.path_in_schema == "event_id":
                 mx_id = max(mx_id, int(c.statistics.max))
-    nsub = max(1, default_num_parts() // n_queues)
-    w = mx_id // nsub + 1
-    n_buckets = n_queues * nsub
-
     ds = rd.read_parquet(
         table_path(sf_dir, "events"), columns=["event_id", "ts", "event_type"]
     )
+    nsub = max(1, default_num_parts(ds) // n_queues)
+    w = mx_id // nsub + 1
+    n_buckets = n_queues * nsub
 
     def bucket_of(ids: np.ndarray) -> np.ndarray:
         q = ids % n_queues

@@ -91,10 +91,13 @@ def test_all_three_output_modes_emit_counted_error_rows(monkeypatch):
             assert err["node_idx"].iloc[0] == -1
 
 
-def test_salted_groupby_num_parts_invariance(ray_session):
+def test_salted_groupby_num_parts_invariance(ray_session, tmp_path):
+    import numpy as np
+    import pyarrow.parquet as pq
+    import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby
+    from open_parse_ray.stages.dedup import default_num_parts, salted_groupby
 
     src = rd.range(2000).map_batches(
         lambda b: pd.DataFrame(
@@ -102,24 +105,91 @@ def test_salted_groupby_num_parts_invariance(ray_session):
         ),
         batch_format="numpy",
     )
+    ids = np.arange(2000, dtype=np.int64)
+    frame = pd.DataFrame({"k": (ids * 7919) % 97, "v": ids})
+    # the same rows behind a Parquet read, so the default width runs the
+    # byte estimate; ~1 KiB of padding per row puts it at ~2 MiB
+    pq.write_table(
+        pa.Table.from_pandas(frame.assign(pad=[f"{i:08d}" * 128 for i in ids])),
+        tmp_path / "kv.parquet",
+    )
 
     def per_key(part: pd.DataFrame) -> pd.DataFrame:
         return part.groupby("k", as_index=False).agg(
             n=("v", "size"), s=("v", "sum"), mn=("v", "min")
         )
 
-    results = []
-    for parts in (1, 7, 32):
-        df = (
-            salted_groupby(src, lambda b: b["k"], per_key, num_parts=parts)
+    def run(ds, parts):
+        return (
+            salted_groupby(ds, lambda b: b["k"], per_key, num_parts=parts)
             .to_pandas()
             .sort_values("k")
             .reset_index(drop=True)
         )
-        results.append(df)
-    assert results[0].equals(results[1])
-    assert results[0].equals(results[2])
+
+    results = [run(src, parts) for parts in (1, 7, 32)]
+    results.append(run(rd.read_parquet(str(tmp_path / "kv.parquet")), None))
+    ctx = ray.data.DataContext.get_current()
+    old = ctx.target_max_block_size
+    try:
+        # lowered block target: the bytes term wins over 4 x CPUs
+        ctx.target_max_block_size = 64 * 1024
+        pq_src = rd.read_parquet(str(tmp_path / "kv.parquet"))
+        cpus = int(ray.cluster_resources()["CPU"])
+        width = default_num_parts(pq_src)
+        assert width > 4 * cpus
+        results.append(run(pq_src, None))
+        # and the default call runs at that width: one fn call per salt
+        groups = salted_groupby(
+            pq_src, lambda b: b["k"], lambda g: pd.DataFrame({"n": [len(g)]})
+        )
+        assert groups.count() == len({k % width for k in range(97)})
+    finally:
+        ctx.target_max_block_size = old
+    for other in results[1:]:
+        assert results[0].equals(other)
     assert len(results[0]) == 97
+
+
+def test_default_num_parts_rule(ray_session, tmp_path, monkeypatch):
+    """Salt width = max(4 x cluster CPUs, ceil(input bytes / block
+    target)); a leaf of unknown size counts the input as 0 bytes."""
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+    from ray.data.block import BlockMetadata
+    from ray.data.datasource import Datasource, ReadTask
+
+    from open_parse_ray.stages import dedup
+
+    class UnsizedSource(Datasource):
+        def estimate_inmemory_data_size(self):
+            return None
+
+        def get_read_tasks(self, parallelism, **kwargs):
+            meta = BlockMetadata(
+                num_rows=None, size_bytes=None, input_files=None, exec_stats=None
+            )
+            return [ReadTask(lambda: [pa.table({"k": [1]})], meta)]
+
+    pq.write_table(pa.table({"k": list(range(1000))}), tmp_path / "k.parquet")
+    small = rd.read_parquet(str(tmp_path / "k.parquet"))
+    assert 0 < dedup._input_bytes(small) < 1 << 20
+    unsized = rd.read_datasource(UnsizedSource()).union(small)
+    assert dedup._input_bytes(unsized) == 0
+    unsized.context.target_max_block_size = 1  # known bytes alone: > 4 x CPUs
+    for cpus, want in ((1, 4), (16, 64), (32, 128)):
+        monkeypatch.setattr(ray, "cluster_resources", lambda c=cpus: {"CPU": float(c)})
+        assert dedup.default_num_parts() == want
+        assert dedup.default_num_parts(small) == want
+        assert dedup.default_num_parts(rd.from_items([{"k": 1}])) == want
+        assert dedup.default_num_parts(unsized) == want
+
+    # bytes term: 20 GiB at a 128 MiB block target on 1 CPU
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    monkeypatch.setattr(dedup, "_input_bytes", lambda ds: 20 * 1024**3)
+    small.context.target_max_block_size = 128 * 1024**2
+    assert dedup.default_num_parts(small) == 160
 
 
 def test_fast_tokenizer_fallback_documents_extract():
