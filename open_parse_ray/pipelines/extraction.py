@@ -362,9 +362,4 @@ def prepare_training_corpus(
         # survivor = lexicographically smallest url per distinct text fp
         return part.sort_values("url").drop_duplicates("fp", keep="first")
 
-    return salted_groupby(
-        gated,
-        lambda b: pd.util.hash_pandas_object(b["fp"], index=False).astype("int64"),
-        keep_first,
-        num_parts=dedup_parts,
-    )
+    return salted_groupby(gated, "fp", keep_first, num_parts=dedup_parts)

@@ -126,15 +126,12 @@ def write_sorted(
     )
     bounds_ref = ray.put(bounds)
 
-    def pid_of(b: pd.DataFrame) -> pd.Series:
-        bs = ray.get(bounds_ref)
+    def pid_of(b) -> np.ndarray:
+        """Range-partition id per row of an Arrow table or pandas frame."""
         key = _composite(
-            b["n_chars"].to_numpy(dtype=np.int64),
-            b["doc_id"].to_numpy(dtype=np.int64),
+            np.asarray(b["n_chars"], np.int64), np.asarray(b["doc_id"], np.int64)
         )
-        return pd.Series(
-            np.searchsorted(bs, key, side="right").astype(np.int64), index=b.index
-        )
+        return np.searchsorted(ray.get(bounds_ref), key, side="right").astype(np.int64)
 
     n_parts_eff = len(bounds) + 1
 
@@ -142,7 +139,7 @@ def write_sorted(
         import pyarrow as pa
 
         g = g.sort_values(["n_chars", "doc_id"]).reset_index(drop=True)
-        pid = int(pid_of(g.iloc[:1]).iloc[0])
+        pid = int(pid_of(g.iloc[:1])[0])
         t = pa.Table.from_pandas(g, preserve_index=False)
         buf = pa.BufferOutputStream()
         pq.write_table(t, buf, row_group_size=ROW_GROUP_SIZE)

@@ -275,31 +275,31 @@ def read_documents(sf_dir: str, columns=None):
 
 
 def doc_stats_by_lang(sf_dir: str):
-    """Per-language corpus stats. Pre-aggregates per batch (partials),
-    then a tiny groupby over ~langs×blocks rows — never shuffles the
-    full table."""
-    import ray.data as rd
-    from ray.data.aggregate import Count, Max, Min, Sum
+    """Per-language corpus stats: an Arrow per-block partial, then one
+    combine over ~langs×blocks rows — never shuffles the full table."""
+    from open_parse_ray.stages.relational import _arrow_group_aggs, _combine_partials
 
     ds = read_documents(sf_dir, columns=["lang", "n_chars"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.groupby("lang", as_index=False).agg(
-            n_docs=("n_chars", "size"),
-            total_chars=("n_chars", "sum"),
-            min_chars=("n_chars", "min"),
-            max_chars=("n_chars", "max"),
+    def partial(t: "pa.Table") -> "pa.Table":
+        n = t.column("n_chars").to_numpy()
+        return _arrow_group_aggs(
+            {"lang": t.column("lang")},
+            {
+                "n_docs": ("count", None),
+                "total_chars": ("sum", n),
+                "min_chars": ("min", n),
+                "max_chars": ("max", n),
+            },
+            t.num_rows,
         )
-        return g
 
-    partials = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-    out = partials.groupby("lang").aggregate(
-        Sum("n_docs", alias_name="n_docs"),
-        Sum("total_chars", alias_name="total_chars"),
-        Min("min_chars", alias_name="min_chars"),
-        Max("max_chars", alias_name="max_chars"),
+    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
+    return _combine_partials(
+        partials,
+        ["lang"],
+        {"n_docs": "sum", "total_chars": "sum", "min_chars": "min", "max_chars": "max"},
     )
-    return out
 
 
 def source_lang_matrix(sf_dir: str):
@@ -412,10 +412,7 @@ def top_terms(sf_dir: str, k: int = 20):
         g = g.sort_values(["n", "term"], ascending=[False, True]).head(k)
         return g.astype({"n": "int64"})
 
-    def salt(b: pd.DataFrame) -> pd.Series:
-        return pd.util.hash_pandas_object(b["term"], index=False).astype("int64")
-
-    per_part_top = salted_groupby(partials, salt, sum_and_topk)
+    per_part_top = salted_groupby(partials, "term", sum_and_topk)
 
     def add_rank(b: pd.DataFrame) -> pd.DataFrame:
         b = b.sort_values(["n", "term"], ascending=[False, True]).head(k)
@@ -455,10 +452,7 @@ def term_doc_freq(sf_dir: str):
     def sum_df(part: pd.DataFrame) -> pd.DataFrame:
         return part.groupby("term", as_index=False).agg(df=("df", "sum")).astype({"df": "int64"})
 
-    def salt(b: pd.DataFrame) -> pd.Series:
-        return pd.util.hash_pandas_object(b["term"], index=False).astype("int64")
-
-    return salted_groupby(partials, salt, sum_df)
+    return salted_groupby(partials, "term", sum_df)
 
 
 def chunk_spans_batch(
@@ -576,10 +570,7 @@ def stratified_sample(sf_dir: str, per_group: int = 10):
             }
         )
 
-    def salt(b: pd.DataFrame) -> pd.Series:
-        return pd.util.hash_pandas_object(b["lang"], index=False).astype("int64")
-
-    return salted_groupby(keyed, salt, topk_per_lang)
+    return salted_groupby(keyed, "lang", topk_per_lang)
 
 
 def sample_documents(sf_dir: str):
@@ -673,13 +664,7 @@ def source_capped_sample(sf_dir: str, cap: int = 20):
             }
         )
 
-    return salted_groupby(
-        keyed,
-        lambda b: pd.util.hash_pandas_object(b["source"], index=False).astype(
-            "int64"
-        ),
-        cap_per_source,
-    )
+    return salted_groupby(keyed, "source", cap_per_source)
 
 def tfidf_top_terms(sf_dir: str, k: int = 3):
     """Per-document top-k TF-IDF terms — the keyword-extraction /
@@ -729,11 +714,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 3):
         part["df"] = part.groupby("term")["term"].transform("size").astype("int64")
         return part
 
-    with_df = salted_groupby(
-        tf,
-        lambda b: pd.util.hash_pandas_object(b["term"], index=False).astype("int64"),
-        attach_df,
-    )
+    with_df = salted_groupby(tf, "term", attach_df)
 
     def topk_per_doc(part: pd.DataFrame) -> pd.DataFrame:
         part = part.copy()
@@ -751,7 +732,9 @@ def tfidf_top_terms(sf_dir: str, k: int = 3):
 
     return salted_groupby(
         with_df,
-        lambda b: pd.util.hash_pandas_object(b["doc_id"], index=False).astype("int64"),
+        lambda t: pd.util.hash_pandas_object(
+            t["doc_id"].to_pandas(), index=False
+        ).astype("int64"),
         topk_per_doc,
     )
 
@@ -822,11 +805,7 @@ def source_ngram_overlap(sf_dir: str, n: int = 3):
             n=("n", "sum")
         )
 
-    partials = salted_groupby(
-        rows,
-        lambda b: pd.util.hash_pandas_object(b["ng"], index=False).astype("int64"),
-        pair_partials,
-    )
+    partials = salted_groupby(rows, "ng", pair_partials)
     combined = _combine_partials(partials, ["source_a", "source_b"], {"n": "sum"})
 
     def assemble(b: pd.DataFrame) -> pd.DataFrame:
@@ -935,7 +914,7 @@ def bm25_lite_topk(sf_dir: str, query_terms=DEFAULT_BM25_QUERY, k: int = 20):
         g = part.groupby("doc_id", as_index=False).agg(score=("score", "sum"))
         return g.sort_values(["score", "doc_id"], ascending=[False, True]).head(k)
 
-    per_part = salted_groupby(scores, lambda b: b["doc_id"], sum_and_topk)
+    per_part = salted_groupby(scores, "doc_id", sum_and_topk)
 
     def add_rank(b: pd.DataFrame) -> pd.DataFrame:
         b = b.sort_values(["score", "doc_id"], ascending=[False, True]).head(k)
@@ -1303,11 +1282,7 @@ def lang_mix_rebalance(sf_dir: str):
             }
         )
 
-    return salted_groupby(
-        keyed,
-        lambda b: pd.util.hash_pandas_object(b["lang"], index=False).astype("int64"),
-        cap_per_lang,
-    )
+    return salted_groupby(keyed, "lang", cap_per_lang)
 
 
 def dsir_select(sf_dir: str, n: int = 100, target_lang: str = "en"):
@@ -1675,7 +1650,7 @@ def mixture_manifest(sf_dir: str, budget_tokens: int = 600):
 
     return salted_groupby(
         ds.map_batches(keyed, batch_format="pandas", batch_size=8192),
-        lambda b: pd.util.hash_pandas_object(b["source"], index=False).astype("int64"),
+        "source",
         fill,
     )
 
@@ -1791,13 +1766,7 @@ def frequent_term_pairs(sf_dir: str, min_df: int = 100, min_pair: int = 320):
 
     freq = sorted(
         r["term"]
-        for r in salted_groupby(
-            dt,
-            lambda b: pd.util.hash_pandas_object(b["term"], index=False).astype(
-                "int64"
-            ),
-            df_filter,
-        ).take_all()
+        for r in salted_groupby(dt, "term", df_filter).take_all()
     )
     freq_ref = ray.put(frozenset(freq))
 
@@ -1841,8 +1810,8 @@ def frequent_term_pairs(sf_dir: str, min_df: int = 100, min_pair: int = 320):
 
     return salted_groupby(
         pairs,
-        lambda b: pd.util.hash_pandas_object(
-            b["term_a"] + "\x00" + b["term_b"], index=False
+        lambda t: pd.util.hash_pandas_object(
+            t["term_a"].to_pandas() + "\x00" + t["term_b"].to_pandas(), index=False
         ).astype("int64"),
         count_filter,
     )
@@ -1863,7 +1832,7 @@ def inverted_index(sf_dir: str, shard_size: int = 128):
     exact). The reference's retrieval surface is per-node embeddings
     (semantic_transforms.py:20-68); this is the sparse-retrieval scale
     analog (the index behind bm25_lite_topk's scoring)."""
-    from open_parse_ray.stages.dedup import salted_groupby
+    from open_parse_ray.stages.dedup import salt_of_key, salted_groupby
 
     ds = read_documents(sf_dir, columns=["doc_id", "text"])
 
@@ -1905,11 +1874,8 @@ def inverted_index(sf_dir: str, shard_size: int = 128):
         )
         return g.astype({"shard": "int64", "df": "int64"})
 
-    def salt(b: pd.DataFrame) -> pd.Series:
-        return (
-            pd.util.hash_pandas_object(b["term"], index=False).astype("int64") * 31
-            + b["shard"]
-        )
+    def salt(t: "pa.Table") -> np.ndarray:
+        return salt_of_key(t, "term") * 31 + t["shard"].to_numpy()
 
     return salted_groupby(pr, salt, assemble)
 
@@ -1997,11 +1963,7 @@ def distinctive_terms_by_lang(sf_dir: str, k: int = 10):
         out = pd.DataFrame({"lang": g["lang"], "term": g["term"], "score": score})
         return out[out["score"] > 0].reset_index(drop=True)
 
-    cand = salted_groupby(
-        pr,
-        lambda b: pd.util.hash_pandas_object(b["term"], index=False).astype("int64"),
-        score_part,
-    )
+    cand = salted_groupby(pr, "term", score_part)
 
     def rank_topk(part: pd.DataFrame) -> pd.DataFrame:
         g = part.sort_values(
@@ -2011,11 +1973,7 @@ def distinctive_terms_by_lang(sf_dir: str, k: int = 10):
         g = g[g["rank"] <= k]
         return g[["lang", "rank", "term", "score"]].astype({"score": "int64"})
 
-    return salted_groupby(
-        cand,
-        lambda b: pd.util.hash_pandas_object(b["lang"], index=False).astype("int64"),
-        rank_topk,
-    )
+    return salted_groupby(cand, "lang", rank_topk)
 
 
 def _bigrams(t: str) -> set:
@@ -2455,11 +2413,10 @@ def doc_ngram_novelty(sf_dir: str, n: int = 3):
                 )
         return pd.concat(out, ignore_index=True)
 
-    def salt1(b: pd.DataFrame) -> pd.Series:
-        h1 = b["h1"].values
+    def salt1(t: "pa.Table") -> np.ndarray:
+        h1 = t["h1"].to_numpy()
         # total rows (h1 == -1) route by doc_id so no partition drowns
-        mix = np.where(h1 == -1, _splitmix63(b["doc_id"].values), h1)
-        return pd.Series(np.abs(mix), index=b.index)
+        return np.abs(np.where(h1 == -1, _splitmix63(t["doc_id"].to_numpy()), h1))
 
     partials = salted_groupby(rows, salt1, per_part)
 
@@ -2472,9 +2429,7 @@ def doc_ngram_novelty(sf_dir: str, n: int = 3):
         )
 
     return salted_groupby(
-        partials, lambda b: pd.Series(
-            np.abs(_splitmix63(b["doc_id"].values)), index=b.index
-        ), finish
+        partials, lambda t: np.abs(_splitmix63(t["doc_id"].to_numpy())), finish
     )
 
 

@@ -105,11 +105,7 @@ def word_counts(sf_dir: str):
         return part.groupby("word", as_index=False).agg(n=("n", "sum"))
 
     partials = ds.map_batches(partial, batch_format="pandas", batch_size=8192)
-    return salted_groupby(
-        partials,
-        lambda b: pd.util.hash_pandas_object(b["word"], index=False).astype("int64"),
-        combine,
-    )
+    return salted_groupby(partials, "word", combine)
 
 
 def learned_bpe_merges(sf_dir: str, n_merges: int = 24):

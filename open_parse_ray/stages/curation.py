@@ -89,13 +89,7 @@ def curate_from_keyed(keyed, k_tiers: int = 4, train_pct: int = 80, val_pct: int
             .first()
         )
 
-    deduped = salted_groupby(
-        keyed,
-        lambda b: pd.util.hash_pandas_object(b["canonical_url"], index=False).astype(
-            "int64"
-        ),
-        keep_rep,
-    ).materialize()
+    deduped = salted_groupby(keyed, "canonical_url", keep_rep).materialize()
 
     ranked = global_rank(
         deduped.map_batches(
@@ -144,6 +138,8 @@ def curate_from_keyed(keyed, k_tiers: int = 4, train_pct: int = 80, val_pct: int
 
     return salted_groupby(
         left.union(right),
-        lambda b: pd.util.hash_pandas_object(b["doc_id"], index=False).astype("int64"),
+        lambda t: pd.util.hash_pandas_object(
+            t["doc_id"].to_pandas(), index=False
+        ).astype("int64"),
         join,
     )

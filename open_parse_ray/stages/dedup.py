@@ -364,55 +364,54 @@ def default_num_parts(ds=None) -> int:
     return parts
 
 
-def salted_groupby(ds, salt_of, fn, num_parts: Optional[int] = None):
-    """Shuffle on a LOW-cardinality salt of the real key, then run ``fn``
-    vectorized over each whole partition.
+def salt_of_key(t: pa.Table, key) -> np.ndarray:
+    """The integer salt of every row of ``t`` for the exchange ``key``:
 
-    Ray Data's groupby machinery costs ~3ms of Python per group; with
-    fine-grained keys (text hashes, LSH buckets, user ids) that dwarfs the
-    actual work. Salting the key down to ``num_parts`` partitions keeps
-    the co-location guarantee — every row of one real key lands in one
-    partition, because the salt is a function of the key — while paying
-    the per-group overhead only ``num_parts`` times; inside a partition
-    ``fn`` uses pandas groupby (vectorized dispatch, ~µs per group).
-    ``num_parts=None`` takes :func:`default_num_parts` of ``ds``: ≥4
-    groups per core for load balance, and enough groups that no
-    partition exceeds one Ray block target of input bytes.
+    - one column name of an integer type: the value itself;
+    - one string/binary (any non-integer) column name, or a list of
+      names: ``pd.util.hash_pandas_object(<those columns as pandas>,
+      index=False).astype("int64")`` — a Series for one name, a frame
+      for a list, so ``["a"]`` hashes differently from ``"a"``;
+    - a callable ``(pa.Table) -> integer array``, for a computed or
+      spec-pinned salt (md5 digests, composite keys, range-partition
+      ids).
 
-    ``salt_of(batch) -> int Series`` computes the salt per row.
+    The salt is a function of the key alone, so every row of one key
+    lands in one partition at any width."""
+    if callable(key):
+        return key(t)
+    if isinstance(key, str):
+        if pa.types.is_integer(t.schema.field(key).type):
+            return t.column(key).to_numpy()
+        cols = t.column(key).to_pandas()
+    else:
+        cols = t.select(list(key)).to_pandas()
+    return pd.util.hash_pandas_object(cols, index=False).astype("int64").to_numpy()
+
+
+def salted_groupby(ds, key, fn, num_parts: Optional[int] = None):
+    """The engine's one exchange: shuffle on a LOW-cardinality salt of
+    the real key, then run ``fn`` vectorized over each whole partition.
+
+    Ray Data's ``groupby(k).map_groups`` costs ~4 ms of Python per group;
+    with fine-grained keys (text hashes, LSH buckets, user ids) that
+    dwarfs the actual work. Salting the key down to ``num_parts`` groups
+    keeps co-location — the salt (:func:`salt_of_key` of ``key``) is a
+    function of the key — while paying the per-group cost only
+    ``num_parts`` times; inside a partition ``fn`` uses pandas groupby
+    (~µs per group). ``num_parts=None`` takes :func:`default_num_parts`
+    of ``ds``.
+
+    The salt stage is Arrow-native (appends ``_part`` to the block, no
+    pandas copy before the exchange); ``fn`` receives one pandas
+    partition without ``_part``.
     """
     if num_parts is None:
         num_parts = default_num_parts(ds)
 
-    def add_salt(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_part"] = (salt_of(b) % num_parts).astype("int64")
-        return b
-
-    salted = ds.map_batches(add_salt, batch_format="pandas", batch_size=8192)
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        return fn(g.drop(columns=["_part"]))
-
-    return salted.groupby("_part").map_groups(run, batch_format="pandas")
-
-
-def salted_groupby_arrow(ds, salt_of, fn, num_parts: Optional[int] = None):
-    """Arrow-native variant of :func:`salted_groupby` for pipelines whose
-    pre-shuffle stages already emit pyarrow tables: the salt stage
-    appends ``_part`` to the Arrow block directly (zero-copy from the
-    object store — no pandas materialization before the exchange), while
-    ``fn`` still receives one vectorized pandas partition.
-
-    ``salt_of(table) -> np.ndarray`` computes an int64 salt per row.
-    """
-    if num_parts is None:
-        num_parts = default_num_parts(ds)
-    import pyarrow as _pa
-
-    def add_salt(t: _pa.Table) -> _pa.Table:
-        part = (salt_of(t) % num_parts).astype(np.int64)
-        return t.append_column("_part", _pa.array(part, _pa.int64()))
+    def add_salt(t: pa.Table) -> pa.Table:
+        part = (salt_of_key(t, key) % num_parts).astype(np.int64)
+        return t.append_column("_part", pa.array(part, pa.int64()))
 
     salted = ds.map_batches(add_salt, batch_format="pyarrow", batch_size=8192)
 
@@ -460,9 +459,7 @@ def exact_dedup_groups(sf_dir: str):
             {"doc_id": "int64", "n_copies": "int64"}
         )
 
-    return salted_groupby_arrow(
-        hashed, lambda t: t.column("fp_salt").to_numpy(), groups
-    )
+    return salted_groupby(hashed, "fp_salt", groups)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +478,7 @@ def _bytes_to_ids(b: bytes) -> np.ndarray:
     return np.frombuffer(b, dtype="<i8")
 
 
-def _collapse_by_key(ds, key_col: str, salt_of, num_parts: Optional[int] = None):
+def _collapse_by_key(ds, key_col: str, salt_key: str, num_parts: Optional[int] = None):
     """Exact-duplicate collapse at the SIGNATURE level: one row per
     distinct ``key_col`` value with rep_id = min doc_id and copies = the
     sorted member ids packed as bytes.
@@ -492,8 +489,8 @@ def _collapse_by_key(ds, key_col: str, salt_of, num_parts: Optional[int] = None)
     before this stage existed). A corpus already collapsed with
     ``exact_dedup_groups`` passes through unchanged (all groups size 1).
 
-    ``salt_of(pa.Table) -> np.ndarray`` — the salt stage is Arrow-native
-    (no pandas copy before the exchange, see salted_groupby_arrow).
+    ``salt_key`` names the integer column the exchange salts on: a hash
+    of ``key_col``, or ``key_col`` itself when that is an integer.
     """
 
     def collapse(part: pd.DataFrame) -> pd.DataFrame:
@@ -515,7 +512,7 @@ def _collapse_by_key(ds, key_col: str, salt_of, num_parts: Optional[int] = None)
             }
         )
 
-    return salted_groupby_arrow(ds, salt_of, collapse, num_parts=num_parts)
+    return salted_groupby(ds, salt_key, collapse, num_parts=num_parts)
 
 
 def _triangle_assign(n: int, chunk_size: int):
@@ -741,9 +738,7 @@ def minhash_neardup_pairs(
 
     sigs = ds.map_batches(sig_rows, batch_format="pandas", batch_size=4096)
     reps = _collapse_by_key(
-        sigs.select_columns(["doc_id", "sig", "sighash"]),
-        "sig",
-        lambda t: t.column("sighash").to_numpy(),
+        sigs.select_columns(["doc_id", "sig", "sighash"]), "sig", "sighash"
     ).materialize()
 
     def band_rows(t: pa.Table) -> pa.Table:
@@ -813,9 +808,7 @@ def minhash_neardup_pairs(
             )
         return pd.concat(outs, ignore_index=True)
 
-    routing = salted_groupby_arrow(
-        banded, lambda t: t.column("bucket").to_numpy(), route
-    )
+    routing = salted_groupby(banded, "bucket", route)
 
     # --- attach signatures: tagged union-join against the side-table.
     # Both sides carry the full column set (ints -1 / empty bytes as
@@ -856,9 +849,7 @@ def minhash_neardup_pairs(
             side[["rep_id", "sig"]], on="rep_id", how="inner"
         )
 
-    attached = salted_groupby_arrow(
-        unioned, lambda t: t.column("rep_id").to_numpy(), attach
-    )
+    attached = salted_groupby(unioned, "rep_id", attach)
 
     def verify(part: pd.DataFrame) -> pd.DataFrame:
         out_a, out_b, out_v = [], [], []
@@ -914,7 +905,7 @@ def minhash_neardup_pairs(
             }
         )
 
-    verified = salted_groupby_arrow(
+    verified = salted_groupby(
         attached,
         lambda t: (
             t.column("bucket").to_numpy()
@@ -1085,7 +1076,7 @@ def labelprop_clusters(pairs_ds, num_parts: Optional[int] = None, max_iters: int
     for _ in range(max_iters):
         after_large = salted_groupby(
             edges.map_batches(bidir, batch_format="pandas", batch_size=65536),
-            lambda b: b["u"],
+            "u",
             large_star,
             num_parts=num_parts,
         )
@@ -1101,7 +1092,7 @@ def labelprop_clusters(pairs_ds, num_parts: Optional[int] = None, max_iters: int
                 batch_format="pandas",
                 batch_size=65536,
             ),
-            lambda b: b["u"],
+            "u",
             small_star,
             num_parts=num_parts,
         ).materialize()
@@ -1148,7 +1139,7 @@ def labelprop_clusters(pairs_ds, num_parts: Optional[int] = None, max_iters: int
     # (deduped — several star edges share a root) and annotate sizes
     return salted_groupby(
         labels.map_batches(root_rows, batch_format="pandas", batch_size=65536),
-        lambda b: b["cluster_id"],
+        "cluster_id",
         with_sizes,
         num_parts=num_parts,
     )
@@ -1222,9 +1213,7 @@ def simhash_neardup_pairs(
     import ray.data as rd
 
     sh = simhash_table(sf_dir)
-    reps = _collapse_by_key(
-        sh, "simhash", lambda t: t.column("simhash").to_numpy()
-    ).materialize()
+    reps = _collapse_by_key(sh, "simhash", "simhash").materialize()
 
     def bands(batch: pd.DataFrame) -> pd.DataFrame:
         # vectorized 4-way band explode: shift/mask the whole column at
@@ -1293,7 +1282,7 @@ def simhash_neardup_pairs(
         return pd.concat(outs, ignore_index=True)
 
     routing = salted_groupby(
-        banded, lambda b: b["band_val"] * 7 + b["band_id"], route
+        banded, lambda t: t["band_val"].to_numpy() * 7 + t["band_id"].to_numpy(), route
     )
 
     def _pair_hamming(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
@@ -1362,7 +1351,12 @@ def simhash_neardup_pairs(
 
     verified = salted_groupby(
         routing,
-        lambda b: b["band_val"] * 7 + b["band_id"] + b["ca"] * 131 + b["cb"],
+        lambda t: (
+            t["band_val"].to_numpy() * 7
+            + t["band_id"].to_numpy()
+            + t["ca"].to_numpy() * 131
+            + t["cb"].to_numpy()
+        ),
         verify,
     )
 
@@ -1593,7 +1587,7 @@ def dup_span_flags(sf_dir: str, window: int = 16, stride: int = 8):
         out = dup.groupby("doc_id", as_index=False).agg(n_dup=("h", "size"))
         return out.astype({"doc_id": "int64", "n_dup": "int64"})
 
-    dups = salted_groupby(wrows, lambda b: b["h"], dup_counts)
+    dups = salted_groupby(wrows, "h", dup_counts)
     totals = docs.map_batches(total_rows, batch_format="pandas", batch_size=4096)
 
     # join totals with dup counts on doc_id (tagged union, salted)
@@ -1632,7 +1626,7 @@ def dup_span_flags(sf_dir: str, window: int = 16, stride: int = 8):
         out["n_dup_windows"] = out["n_dup"].fillna(0).astype("int64")
         return out[["doc_id", "n_windows", "n_dup_windows"]]
 
-    return salted_groupby(both, lambda b: b["doc_id"], join)
+    return salted_groupby(both, "doc_id", join)
 
 
 # content-defined anchor predicate: first hex char of md5(word) in
@@ -1736,7 +1730,7 @@ def dup_span_flags_cdc(sf_dir: str, window: int = 16):
         out = dup.groupby("doc_id", as_index=False).agg(n_dup=("h", "size"))
         return out.astype({"doc_id": "int64", "n_dup": "int64"})
 
-    dups = salted_groupby(wrows, lambda b: b["h"], dup_counts)
+    dups = salted_groupby(wrows, "h", dup_counts)
     totals = docs.map_batches(total_rows, batch_format="pandas", batch_size=4096)
 
     def tag_tot(b: pd.DataFrame) -> pd.DataFrame:
@@ -1772,7 +1766,7 @@ def dup_span_flags_cdc(sf_dir: str, window: int = 16):
         out["n_dup_windows"] = out["n_dup"].fillna(0).astype("int64")
         return out[["doc_id", "n_windows", "n_dup_windows"]]
 
-    return salted_groupby(both, lambda b: b["doc_id"], join)
+    return salted_groupby(both, "doc_id", join)
 
 
 DUP_SPAN_FLAGS_CDC_SQL = r"""
@@ -1960,7 +1954,7 @@ def dup_span_flags_exact(sf_dir: str, window: int = 16, bloom_m: int = 1 << 22):
         out = dup.groupby("doc_id", as_index=False).agg(n_dup=("h", "size"))
         return out.astype({"doc_id": "int64", "n_dup": "int64"})
 
-    dups = salted_groupby(wrows, lambda b: b["h"], dup_counts)
+    dups = salted_groupby(wrows, "h", dup_counts)
     totals = docs.map_batches(total_rows, batch_format="pandas", batch_size=4096)
 
     def tag_tot(b: pd.DataFrame) -> pd.DataFrame:
@@ -1996,7 +1990,7 @@ def dup_span_flags_exact(sf_dir: str, window: int = 16, bloom_m: int = 1 << 22):
         out["n_dup_windows"] = out["n_dup"].fillna(0).astype("int64")
         return out[["doc_id", "n_windows", "n_dup_windows"]]
 
-    return salted_groupby(both, lambda b: b["doc_id"], join)
+    return salted_groupby(both, "doc_id", join)
 
 
 DUP_SPAN_FLAGS_EXACT_SQL = r"""
@@ -2191,6 +2185,11 @@ def char_jaccard_pairs(sf_dir: str, sample_mod: int = 50, threshold: float = 0.5
 _WS_RE = re.compile(r"[ \t\n\r]+")
 
 
+def _fp_salt(t: pa.Table) -> np.ndarray:
+    """Salt of an md5-hex ``fp`` column: its first 8 hex digits."""
+    return np.array([int(f[:8], 16) for f in t["fp"].to_pylist()], dtype=np.int64)
+
+
 def keep_best_dedup(sf_dir: str):
     """Normalized exact dedup keeping the BEST member, not the first:
     per normalized-distinct text, survive the copy with the most raw
@@ -2238,9 +2237,7 @@ def keep_best_dedup(sf_dir: str):
             {"doc_id": "int64", "n_copies": "int64", "n_chars": "int64"}
         )
 
-    return salted_groupby(
-        hashed, lambda b: b["fp"].str[:8].apply(int, base=16), best
-    )
+    return salted_groupby(hashed, _fp_salt, best)
 
 
 def normalized_exact_dedup(sf_dir: str):
@@ -2279,9 +2276,7 @@ def normalized_exact_dedup(sf_dir: str):
             {"doc_id": "int64", "n_copies": "int64"}
         )
 
-    return salted_groupby(
-        hashed, lambda b: b["fp"].str[:8].apply(int, base=16), groups
-    )
+    return salted_groupby(hashed, _fp_salt, groups)
 
 # ---------------------------------------------------------------------------
 # Bloom-prefiltered duplicate-group extraction
@@ -2424,13 +2419,7 @@ def bloom_dup_groups(sf_dir: str, m_bits: int = 1 << 20):
         g = g[g["n_dups"] >= 2]
         return g.astype({"n_dups": "int64", "rep_doc_id": "int64"})
 
-    return salted_groupby(
-        candidates,
-        lambda b: pd.util.hash_pandas_object(b["canonical_url"], index=False).astype(
-            "int64"
-        ),
-        collapse,
-    )
+    return salted_groupby(candidates, "canonical_url", collapse)
 
 
 def dup_span_excise(sf_dir: str, window: int = 16, stride: int = 8):
@@ -2490,7 +2479,7 @@ def dup_span_excise(sf_dir: str, window: int = 16, stride: int = 8):
 
     dup_pos = salted_groupby(
         docs.map_batches(window_rows, batch_format="pandas", batch_size=4096),
-        lambda b: b["h"],
+        "h",
         dup_positions,
     )
 
@@ -2545,7 +2534,7 @@ def dup_span_excise(sf_dir: str, window: int = 16, stride: int = 8):
             }
         )
 
-    return salted_groupby(union, lambda b: b["doc_id"], excise)
+    return salted_groupby(union, "doc_id", excise)
 
 
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
@@ -2774,9 +2763,7 @@ def jaccard_selfjoin(
             return _empty_out()
         return pd.concat(outs, ignore_index=True)
 
-    return salted_groupby(
-        prefix, lambda b: b["bucket"], bucket_verify, num_parts=num_parts
-    )
+    return salted_groupby(prefix, "bucket", bucket_verify, num_parts=num_parts)
 
 
 def _expand_ranges(lo: np.ndarray, hi: np.ndarray):

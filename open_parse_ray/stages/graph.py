@@ -216,7 +216,7 @@ def transition_edges(sf_dir: str):
         out = d.groupby(["src_t", "dst_t"], as_index=False).size()
         return out.rename(columns={"size": "w"}).astype({"w": "int64"})
 
-    partials = salted_groupby(ds, lambda b: b["user_id"], pairs)
+    partials = salted_groupby(ds, "user_id", pairs)
     return _combine_partials(partials, ["src_t", "dst_t"], {"w": "sum"})
 
 
@@ -389,7 +389,7 @@ def pagerank_partitioned(
 
     nodes = salted_groupby(
         wout_tbl.union(all_nodes),
-        lambda b: b["node"],
+        "node",
         merge_nodes,
         num_parts=num_parts,
     ).materialize()
@@ -480,7 +480,7 @@ def pagerank_partitioned(
 
         contrib_rows = salted_groupby(
             rank_side.union(edge_side),
-            lambda b: b["key"],
+            "key",
             contribs,
             num_parts=num_parts,
         )
@@ -528,7 +528,7 @@ def pagerank_partitioned(
 
         ranks = salted_groupby(
             node_side.union(c_side),
-            lambda b: b["node"],
+            "node",
             rerank,
             num_parts=num_parts,
         ).materialize()
@@ -748,9 +748,7 @@ def triangle_counts(
             }
         ).astype("int64")
 
-    wedges = salted_groupby(
-        oriented, lambda b: b["a"], wedge_partial, num_parts=num_parts
-    )
+    wedges = salted_groupby(oriented, "a", wedge_partial, num_parts=num_parts)
 
     w_tag = wedges.map_batches(
         lambda b: b.assign(is_edge=np.int64(0)), batch_format="pandas", batch_size=65536
@@ -786,7 +784,7 @@ def triangle_counts(
 
     tri_parts = salted_groupby(
         w_tag.union(e_tag),
-        lambda b: (b["u"] * _OKEY_BASE + b["v"]),
+        lambda t: t["u"].to_numpy() * _OKEY_BASE + t["v"].to_numpy(),
         close_probe,
         num_parts=num_parts,
     ).to_pandas()
@@ -836,7 +834,7 @@ def copurchase_edges(sf_dir: str, num_parts: Optional[int] = None):
             {"u": uniq // _OKEY_BASE, "v": uniq % _OKEY_BASE}
         ).astype("int64")
 
-    pairs = salted_groupby(ds, lambda b: b["l_orderkey"], order_pairs, num_parts=num_parts)
+    pairs = salted_groupby(ds, "l_orderkey", order_pairs, num_parts=num_parts)
 
     def distinct(part: pd.DataFrame) -> pd.DataFrame:
         key = np.unique(
@@ -848,7 +846,10 @@ def copurchase_edges(sf_dir: str, num_parts: Optional[int] = None):
         ).astype("int64")
 
     return salted_groupby(
-        pairs, lambda b: (b["u"] * _OKEY_BASE + b["v"]), distinct, num_parts=num_parts
+        pairs,
+        lambda t: t["u"].to_numpy() * _OKEY_BASE + t["v"].to_numpy(),
+        distinct,
+        num_parts=num_parts,
     )
 
 
@@ -938,7 +939,7 @@ def copurchase_lift_pairs(
         ).astype("int64")
 
     tagged = salted_groupby(
-        ds, lambda b: b["l_orderkey"], fused_partial, num_parts=num_parts
+        ds, "l_orderkey", fused_partial, num_parts=num_parts
     ).materialize()
 
     def take_freq(b: pd.DataFrame) -> pd.DataFrame:
@@ -999,7 +1000,7 @@ def copurchase_lift_pairs(
 
     return salted_groupby(
         pair_partials,
-        lambda b: (b["pa"] * _OKEY_BASE + b["pb"]),
+        lambda t: t["pa"].to_numpy() * _OKEY_BASE + t["pb"].to_numpy(),
         finish,
         num_parts=num_parts,
     )
@@ -1149,7 +1150,7 @@ def related_parts_topk(sf_dir: str, k: int = 3, num_parts: Optional[int] = None)
         )
 
     directed_partials = salted_groupby(
-        ds, lambda b: b["l_orderkey"], order_pair_counts, num_parts=num_parts
+        ds, "l_orderkey", order_pair_counts, num_parts=num_parts
     )
 
     def finish_topk(g: pd.DataFrame) -> pd.DataFrame:
@@ -1171,9 +1172,7 @@ def related_parts_topk(sf_dir: str, k: int = 3, num_parts: Optional[int] = None)
             {"part": part[m], "rank": rank[m], "other": other[m], "n_ab": s[m]}
         )
 
-    return salted_groupby(
-        directed_partials, lambda b: b["part"], finish_topk, num_parts=num_parts
-    )
+    return salted_groupby(directed_partials, "part", finish_topk, num_parts=num_parts)
 
 
 def recommend_parts_topk(
@@ -1291,9 +1290,7 @@ def recommend_parts_topk(
             }
         )
 
-    mixed = salted_groupby(
-        tagged, lambda b: b["okey"], own_and_pairs, num_parts=num_parts
-    )
+    mixed = salted_groupby(tagged, "okey", own_and_pairs, num_parts=num_parts)
 
     # --- (2) q-salted: finish counts, truncate, dedupe ownership, score
     def score_partial(part: pd.DataFrame) -> pd.DataFrame:
@@ -1334,9 +1331,7 @@ def recommend_parts_topk(
             }
         )
 
-    final_in = salted_groupby(
-        mixed, lambda b: b["q"], score_partial, num_parts=num_parts
-    )
+    final_in = salted_groupby(mixed, "q", score_partial, num_parts=num_parts)
 
     # --- (3) cust-salted finish: sum, anti-filter owned, rank
     def finish(part: pd.DataFrame) -> pd.DataFrame:
@@ -1371,7 +1366,7 @@ def recommend_parts_topk(
             }
         )
 
-    return salted_groupby(final_in, lambda b: b["cust"], finish, num_parts=num_parts)
+    return salted_groupby(final_in, "cust", finish, num_parts=num_parts)
 
 
 def copurchase_cheapest_paths(sf_dir: str, n_rounds: int = 4, num_parts: Optional[int] = None):
@@ -1445,10 +1440,8 @@ def copurchase_cheapest_paths(sf_dir: str, n_rounds: int = 4, num_parts: Optiona
         )
 
     edges = salted_groupby(
-        salted_groupby(
-            li, lambda b: b["l_orderkey"], order_pair_counts, num_parts=num_parts
-        ),
-        lambda b: (b["pa"] * _OKEY_BASE + b["pb"]),
+        salted_groupby(li, "l_orderkey", order_pair_counts, num_parts=num_parts),
+        lambda t: t["pa"].to_numpy() * _OKEY_BASE + t["pb"].to_numpy(),
         weighted_mirror,
         num_parts=num_parts,
     ).materialize()
@@ -1658,9 +1651,7 @@ def copurchase_strong_edges(sf_dir: str, min_ab: int = 3, num_parts: Optional[in
             {"key": uniq, "n_ab": cnt.astype(np.int64)}
         ).astype("int64")
 
-    partials = salted_groupby(
-        ds, lambda b: b["l_orderkey"], order_pair_counts, num_parts=num_parts
-    )
+    partials = salted_groupby(ds, "l_orderkey", order_pair_counts, num_parts=num_parts)
 
     def threshold(part: pd.DataFrame) -> pd.DataFrame:
         if len(part) == 0:
@@ -1671,9 +1662,7 @@ def copurchase_strong_edges(sf_dir: str, min_ab: int = 3, num_parts: Optional[in
             {"u": key // _OKEY_BASE, "v": key % _OKEY_BASE}
         ).astype("int64")
 
-    return salted_groupby(
-        partials, lambda b: b["key"], threshold, num_parts=num_parts
-    )
+    return salted_groupby(partials, "key", threshold, num_parts=num_parts)
 
 
 def copurchase_components(

@@ -89,7 +89,9 @@ def snapshot_diff(sf_dir: str):
 
     return salted_groupby(
         tagged,
-        lambda b: pd.util.hash_pandas_object(b["doc_id"], index=False).astype("int64"),
+        lambda t: pd.util.hash_pandas_object(
+            t["doc_id"].to_pandas(), index=False
+        ).astype("int64"),
         diff,
     )
 
@@ -166,7 +168,9 @@ def apply_changelog(sf_dir: str):
 
     return salted_groupby(
         tagged,
-        lambda b: pd.util.hash_pandas_object(b["doc_id"], index=False).astype("int64"),
+        lambda t: pd.util.hash_pandas_object(
+            t["doc_id"].to_pandas(), index=False
+        ).astype("int64"),
         merge,
     )
 
@@ -226,7 +230,9 @@ def scd2_history(sf_dir: str):
 
     return salted_groupby(
         tagged,
-        lambda b: pd.util.hash_pandas_object(b["doc_id"], index=False).astype("int64"),
+        lambda t: pd.util.hash_pandas_object(
+            t["doc_id"].to_pandas(), index=False
+        ).astype("int64"),
         intervals,
     )
 
@@ -279,9 +285,9 @@ def corpus_merkle(sf_dir: str, fanout: int = 64):
 
     level0 = salted_groupby(
         fps,
-        lambda b: pd.util.hash_pandas_object(b["bucket"], index=False).astype(
-            "int64"
-        ),
+        lambda t: pd.util.hash_pandas_object(
+            t["bucket"].to_pandas(), index=False
+        ).astype("int64"),
         l0,
     ).materialize()
 
@@ -308,9 +314,9 @@ def corpus_merkle(sf_dir: str, fanout: int = 64):
 
     level1 = salted_groupby(
         level0.map_batches(add_parent, batch_format="pandas", batch_size=65536),
-        lambda b: pd.util.hash_pandas_object(b["parent"], index=False).astype(
-            "int64"
-        ),
+        lambda t: pd.util.hash_pandas_object(
+            t["parent"].to_pandas(), index=False
+        ).astype("int64"),
         up(1),
     ).materialize()
 

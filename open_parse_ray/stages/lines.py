@@ -195,10 +195,7 @@ def paragraph_dedup(sf_dir: str, max_driver_lines: int = 5_000_000):
         g = part.groupby("line", as_index=False).agg(nd=("nd", "sum"))
         return g[g["nd"] >= 2][["line"]]
 
-    def line_salt(b: pd.DataFrame) -> pd.Series:
-        return pd.util.hash_pandas_object(b["line"], index=False).astype("int64")
-
-    dup_lines = salted_groupby(partials, line_salt, dup_only)
+    dup_lines = salted_groupby(partials, "line", dup_only)
 
     if dup_lines.count() <= max_driver_lines:
         # bounded driver read: duplicated boilerplate strings only
@@ -213,10 +210,10 @@ def paragraph_dedup(sf_dir: str, max_driver_lines: int = 5_000_000):
 
         return ds.map_batches(rebuild, batch_format="pandas", batch_size=8192)
 
-    return _paragraph_dedup_distributed(ds, dup_lines, salted_groupby, line_salt)
+    return _paragraph_dedup_distributed(ds, dup_lines)
 
 
-def _paragraph_dedup_distributed(ds, dup_lines, salted_groupby, line_salt):
+def _paragraph_dedup_distributed(ds, dup_lines):
     """Fully-distributed pass 2: never materializes the duplicated-line
     table anywhere.
 
@@ -228,6 +225,8 @@ def _paragraph_dedup_distributed(ds, dup_lines, salted_groupby, line_salt):
     rows union their flag rows; the rebuild sees each doc's text once
     next to its own flag set. Text bytes cross one exchange; lines
     cross only as flags."""
+    from open_parse_ray.stages.dedup import salted_groupby
+
 
     def doc_line_rows(b: pd.DataFrame) -> pd.DataFrame:
         ids: List[int] = []
@@ -268,7 +267,7 @@ def _paragraph_dedup_distributed(ds, dup_lines, salted_groupby, line_salt):
             }
         )
 
-    flags = salted_groupby(mixed, line_salt, flag_fn)
+    flags = salted_groupby(mixed, "line", flag_fn)
 
     def doc_side(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -305,4 +304,4 @@ def _paragraph_dedup_distributed(ds, dup_lines, salted_groupby, line_salt):
             lambda d, ln: ln in doc_flags.get(d, empty),
         )
 
-    return salted_groupby(joined, lambda b: b["doc_id"], rebuild_fn)
+    return salted_groupby(joined, "doc_id", rebuild_fn)

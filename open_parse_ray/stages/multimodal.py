@@ -787,4 +787,4 @@ def image_dhash_dupes(sf_dir: str):
             }
         )
 
-    return salted_groupby(pairs, lambda b: b["dhash"], group)
+    return salted_groupby(pairs, "dhash", group)

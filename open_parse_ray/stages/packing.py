@@ -91,7 +91,7 @@ def scan_pack(tok, seq_len: int, bucket_size: int, order_cols=("key",)):
         out["start_pos"] = off % seq_len
         return out
 
-    return salted_groupby(tok, lambda b: b["bucket"], assign)
+    return salted_groupby(tok, "bucket", assign)
 
 
 def pack_offsets(sf_dir: str, seq_len: int = 512, bucket_size: int = 4096):

@@ -365,7 +365,7 @@ def order_value_quantiles_by_segment(
     import ray.data as rd
 
     from open_parse_ray.sources.tables import table_path
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
     from open_parse_ray.stages.relational import _cents, _combine_partials
 
     cust = rd.read_parquet(
@@ -432,9 +432,7 @@ def order_value_quantiles_by_segment(
             }
         )
 
-    keyed = salted_groupby_arrow(
-        tagged, lambda t: t["ck"].to_numpy(zero_copy_only=False), attach
-    )
+    keyed = salted_groupby(tagged, "ck", attach)
     qv = quantile_values(keyed, percents)
     out = pd.DataFrame(
         {

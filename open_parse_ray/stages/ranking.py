@@ -125,7 +125,7 @@ def global_rank(keyed, k: int = 4, num_parts: Optional[int] = None):
     (n_tokens, doc_id). Returns (doc_id, n_tokens, rank, tier)."""
     import ray
 
-    from open_parse_ray.stages.dedup import default_num_parts
+    from open_parse_ray.stages.dedup import default_num_parts, salted_groupby
 
     keyed = keyed.materialize()
     if num_parts is None:
@@ -196,12 +196,12 @@ def global_rank(keyed, k: int = 4, num_parts: Optional[int] = None):
         g["lrank"] = np.arange(len(g), dtype=np.int64)
         return g
 
-    ranked = (
-        keyed.map_batches(assign_pid, batch_format="pandas", batch_size=65536)
-        .groupby("pid")
-        .map_groups(local_rank, batch_format="pandas")
-        .materialize()
-    )
+    ranked = salted_groupby(
+        keyed.map_batches(assign_pid, batch_format="pandas", batch_size=65536),
+        "pid",
+        local_rank,
+        num_parts=num_parts,
+    ).materialize()
 
     def count_partial(b: pd.DataFrame) -> pd.DataFrame:
         vc = b["pid"].value_counts()
@@ -378,6 +378,7 @@ def epoch_shuffle(sf_dir: str, epoch: int = 1, num_parts: int = 64):
     import ray
 
     from open_parse_ray.stages.analysis import read_documents
+    from open_parse_ray.stages.dedup import salted_groupby
     from open_parse_ray.stages.relational import _combine_partials
 
     ds = read_documents(sf_dir, columns=["doc_id"])
@@ -404,12 +405,12 @@ def epoch_shuffle(sf_dir: str, epoch: int = 1, num_parts: int = 64):
             }
         )
 
-    ranked = (
-        ds.map_batches(keyed, batch_format="pandas", batch_size=65536)
-        .groupby("pid")
-        .map_groups(local_rank, batch_format="pandas")
-        .materialize()
-    )
+    ranked = salted_groupby(
+        ds.map_batches(keyed, batch_format="pandas", batch_size=65536),
+        "pid",
+        local_rank,
+        num_parts=num_parts,
+    ).materialize()
 
     def count_partial(b: pd.DataFrame) -> pd.DataFrame:
         vc = b["pid"].value_counts()
@@ -509,7 +510,7 @@ def rank_fusion_docs(sf_dir: str, num_parts: Optional[int] = None):
         )
 
     joined = salted_groupby(
-        ra.union(rb), lambda b: b["doc_id"], pivot, num_parts=num_parts
+        ra.union(rb), "doc_id", pivot, num_parts=num_parts
     ).materialize()
 
     fused = global_rank(
@@ -562,7 +563,7 @@ def rank_fusion_docs(sf_dir: str, num_parts: Optional[int] = None):
     return salted_groupby(
         joined.map_batches(tag_joined, batch_format="pandas", batch_size=65536)
         .union(fused.map_batches(tag_fused, batch_format="pandas", batch_size=65536)),
-        lambda b: b["doc_id"],
+        "doc_id",
         attach,
         num_parts=num_parts,
     )

@@ -299,7 +299,7 @@ def orders_customer_join(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     def proj_orders(t: pa.Table) -> pa.Table:
         # Arrow-native pure projection: no pandas block materialization
@@ -351,9 +351,7 @@ def orders_customer_join(sf_dir: str):
         )
 
     both = orders.union(cust)
-    return salted_groupby_arrow(
-        both, lambda t: t["key"].to_numpy(zero_copy_only=False), join
-    )
+    return salted_groupby(both, "key", join)
 
 
 def events_sliding(sf_dir: str, window_s: int = 3600, slide_s: int = 900):
@@ -435,7 +433,7 @@ def events_with_prev(sf_dir: str):
         )
         return out
 
-    return salted_groupby(ds, lambda b: b["user_id"], lag)
+    return salted_groupby(ds, "user_id", lag)
 
 
 def sessions_per_user(sf_dir: str, gap_minutes: int = 30):
@@ -468,7 +466,7 @@ def sessions_per_user(sf_dir: str, gap_minutes: int = 30):
             {"user_id": "int64", "n_events": "int64", "n_sessions": "int64"}
         )
 
-    return salted_groupby(ds, lambda b: b["user_id"], sessions)
+    return salted_groupby(ds, "user_id", sessions)
 
 
 def local_supplier_revenue(sf_dir: str):
@@ -491,7 +489,7 @@ def local_supplier_revenue(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     sup = pd.read_parquet(
         table_path(sf_dir, "supplier"), columns=["s_suppkey", "s_nationkey"]
@@ -549,11 +547,7 @@ def local_supplier_revenue(sf_dir: str):
             }
         )
 
-    o_c = salted_groupby_arrow(
-        orders.union(cust),
-        lambda t: t["key"].to_numpy(zero_copy_only=False),
-        join_orders_cust,
-    )
+    o_c = salted_groupby(orders.union(cust), "key", join_orders_cust)
 
     # --- lineitem: broadcast supplier-nation lookup + revenue cents
     class TagLineitem:
@@ -640,11 +634,7 @@ def local_supplier_revenue(sf_dir: str):
             }
         )
 
-    partials = salted_groupby_arrow(
-        li.union(o_c_tagged),
-        lambda t: t["key"].to_numpy(zero_copy_only=False),
-        join_filter_partial,
-    )
+    partials = salted_groupby(li.union(o_c_tagged), "key", join_filter_partial)
     return _combine_partials(
         partials, ["n_name"], {"revenue_cents": "sum", "n_items": "sum"}
     )
@@ -675,12 +665,7 @@ def distinct_users_by_type(sf_dir: str):
         g = d.groupby("event_type", as_index=False).agg(n_users=("user_id", "size"))
         return g.astype({"n_users": "int64"})
 
-    def salt(b: pd.DataFrame) -> pd.Series:
-        return pd.util.hash_pandas_object(
-            b[["event_type", "user_id"]], index=False
-        ).astype("int64")
-
-    partials = salted_groupby(pairs, salt, dedup_count)
+    partials = salted_groupby(pairs, ["event_type", "user_id"], dedup_count)
     return _combine_partials(partials, ["event_type"], {"n_users": "sum"})
 
 
@@ -778,7 +763,7 @@ def events_followup(sf_dir: str, window_s: int = 1800):
     def probe(part: pd.DataFrame) -> pd.DataFrame:
         return _followup_probe(part, window_us)
 
-    return salted_groupby(ds, lambda b: b["user_id"], probe)
+    return salted_groupby(ds, "user_id", probe)
 
 
 _FOLLOWUP_SEG = np.int64(1) << np.int64(46)
@@ -840,7 +825,7 @@ def events_asof_prev_click(sf_dir: str):
     def probe(part: pd.DataFrame) -> pd.DataFrame:
         return _asof_probe(part)
 
-    return salted_groupby(ds, lambda b: b["user_id"], probe)
+    return salted_groupby(ds, "user_id", probe)
 
 
 def _asof_probe(part: pd.DataFrame) -> pd.DataFrame:
@@ -926,13 +911,7 @@ def events_hourly_top_users(sf_dir: str, k: int = 3):
             v=("v", "sum")
         )
 
-    sums = salted_groupby(
-        partials,
-        lambda b: pd.util.hash_pandas_object(
-            b[["hour_epoch", "user_id"]], index=False
-        ).astype("int64"),
-        finish_sums,
-    )
+    sums = salted_groupby(partials, ["hour_epoch", "user_id"], finish_sums)
 
     def rank_topk(part: pd.DataFrame) -> pd.DataFrame:
         part = part.sort_values(
@@ -949,7 +928,7 @@ def events_hourly_top_users(sf_dir: str, k: int = 3):
             }
         )
 
-    return salted_groupby(sums, lambda b: b["hour_epoch"], rank_topk)
+    return salted_groupby(sums, "hour_epoch", rank_topk)
 
 
 def events_outlier_flags(sf_dir: str):
@@ -1066,7 +1045,7 @@ def user_retention_cohorts(sf_dir: str, week_s: int = 604800):
             {"cohort_week": "int64", "week_offset": "int64", "n_users": "int64"}
         )
 
-    partials = salted_groupby(ds, lambda b: b["user_id"], cohorts)
+    partials = salted_groupby(ds, "user_id", cohorts)
     return _combine_partials(
         partials, ["cohort_week", "week_offset"], {"n_users": "sum"}
     )
@@ -1199,12 +1178,9 @@ def events_sliding_distinct(sf_dir: str, window_s: int = 3600, slide_s: int = 90
             {"window_start": "int64", "n_users": "int64"}
         )
 
-    def salt(b: pd.DataFrame) -> pd.Series:
-        return pd.util.hash_pandas_object(
-            b[["event_type", "window_start", "user_id"]], index=False
-        ).astype("int64")
-
-    partials = salted_groupby(trip, salt, dedup_count)
+    partials = salted_groupby(
+        trip, ["event_type", "window_start", "user_id"], dedup_count
+    )
     return _combine_partials(
         partials, ["event_type", "window_start"], {"n_users": "sum"}
     )
@@ -1246,7 +1222,7 @@ def events_funnel(
     def probe(part: pd.DataFrame) -> pd.DataFrame:
         return _funnel_probe(part, steps, window_us)
 
-    return salted_groupby(ds, lambda b: b["user_id"], probe)
+    return salted_groupby(ds, "user_id", probe)
 
 
 def _funnel_probe(part: pd.DataFrame, steps, window_us: int) -> pd.DataFrame:
@@ -1314,7 +1290,7 @@ def customers_no_urgent_orders(sf_dir: str):
     import pyarrow.dataset as pads
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     def proj_cust(t: pa.Table) -> pa.Table:
         n = t.num_rows
@@ -1358,9 +1334,7 @@ def customers_no_urgent_orders(sf_dir: str):
             }
         )
 
-    return salted_groupby_arrow(
-        cust.union(orders), lambda t: t["key"].to_numpy(zero_copy_only=False), anti
-    )
+    return salted_groupby(cust.union(orders), "key", anti)
 
 
 def top_orders_per_customer(sf_dir: str, k: int = 3):
@@ -1399,7 +1373,7 @@ def top_orders_per_customer(sf_dir: str, k: int = 3):
             {"rank": "int64"}
         )
 
-    return salted_groupby(ds, lambda b: b["o_custkey"], rank_topk)
+    return salted_groupby(ds, "o_custkey", rank_topk)
 
 
 def events_props_stats(sf_dir: str):
@@ -1761,7 +1735,9 @@ def events_user_rolling(sf_dir: str, frame: int = 3):
 
     return salted_groupby(
         keyed,
-        lambda b: pd.util.hash_pandas_object(b["user_id"], index=False).astype("int64"),
+        lambda t: pd.util.hash_pandas_object(
+            t["user_id"].to_pandas(), index=False
+        ).astype("int64"),
         roll,
     )
 
@@ -1865,7 +1841,7 @@ def events_prior_window_counts(
             }
         )
 
-    partials = salted_groupby(rows, lambda b: b["bucket"], probe, num_parts=num_parts)
+    partials = salted_groupby(rows, "bucket", probe, num_parts=num_parts)
 
     def finish(part: pd.DataFrame) -> pd.DataFrame:
         g = part.groupby("event_id", as_index=False).agg(n_prior=("cnt", "sum"))
@@ -1873,7 +1849,9 @@ def events_prior_window_counts(
 
     return salted_groupby(
         partials,
-        lambda b: pd.util.hash_pandas_object(b["event_id"], index=False).astype("int64"),
+        lambda t: pd.util.hash_pandas_object(
+            t["event_id"].to_pandas(), index=False
+        ).astype("int64"),
         finish,
         num_parts=num_parts,
     )
@@ -1898,7 +1876,7 @@ def orders_returned_semijoin(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     def proj_lineitem(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1947,9 +1925,7 @@ def orders_returned_semijoin(sf_dir: str):
             }
         )
 
-    partials = salted_groupby_arrow(
-        probe.union(build), lambda t: t["key"].to_numpy(zero_copy_only=False), semi
-    )
+    partials = salted_groupby(probe.union(build), "key", semi)
     return _combine_partials(partials, ["o_orderpriority"], {"n_orders": "sum"})
 
 
@@ -2057,7 +2033,7 @@ def events_session_ids(sf_dir: str, gap_minutes: int = 30):
             }
         )
 
-    return salted_groupby(ds, lambda b: b["user_id"], assign)
+    return salted_groupby(ds, "user_id", assign)
 
 
 def fk_audit(sf_dir: str, num_parts: Optional[int] = None):
@@ -2078,7 +2054,7 @@ def fk_audit(sf_dir: str, num_parts: Optional[int] = None):
     import pyarrow as pa
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     def one_relation(child_tbl, child_col, parent_tbl, parent_col, name):
         child = rd.read_parquet(table_path(sf_dir, child_tbl), columns=[child_col])
@@ -2131,10 +2107,7 @@ def fk_audit(sf_dir: str, num_parts: Optional[int] = None):
                 }
             )
 
-        parts = salted_groupby_arrow(
-            both, lambda t: t["key"].to_numpy(zero_copy_only=False), anti,
-            num_parts=num_parts,
-        ).to_pandas()
+        parts = salted_groupby(both, "key", anti, num_parts=num_parts).to_pandas()
         return {
             "relation": name,
             "n_child": int(parts["n_child"].sum()),
@@ -2204,7 +2177,7 @@ def events_user_streaks(sf_dir: str):
             {"user_id": uu, "max_streak_days": mx, "n_active_days": tot}
         )
 
-    return salted_groupby(ds, lambda b: b["user_id"], streaks)
+    return salted_groupby(ds, "user_id", streaks)
 
 
 def events_max_concurrency(
@@ -2259,7 +2232,7 @@ def events_max_concurrency(
         return pd.DataFrame(rows)
 
     per_bucket = salted_groupby(
-        pts, lambda b: b["bucket"], bucket_reduce, num_parts=num_parts
+        pts, "bucket", bucket_reduce, num_parts=num_parts
     ).to_pandas()
     per_bucket = per_bucket.sort_values("bucket")
     carry = np.concatenate(
@@ -2461,9 +2434,7 @@ def customer_rfm_segments(sf_dir: str, num_parts: Optional[int] = None):
         )
         return out.astype("int64")
 
-    tri = salted_groupby(
-        ds, lambda b: b["o_custkey"], triples, num_parts=num_parts
-    ).materialize()
+    tri = salted_groupby(ds, "o_custkey", triples, num_parts=num_parts).materialize()
 
     def hist_partial(b: pd.DataFrame) -> pd.DataFrame:
         frames = []
@@ -2548,7 +2519,7 @@ def customer_order_distribution(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     orders = rd.read_parquet(table_path(sf_dir, "orders"), columns=["o_custkey"])
 
@@ -2576,9 +2547,7 @@ def customer_order_distribution(sf_dir: str):
             }
         )
 
-    h = salted_groupby_arrow(
-        partials, lambda t: t["k"].to_numpy(zero_copy_only=False), hist
-    )
+    h = salted_groupby(partials, "k", hist)
     combined = _combine_partials(h, ["n_orders"], {"n_customers": "sum"}).to_pandas()
 
     n_cust = rd.read_parquet(
@@ -2624,7 +2593,7 @@ def dormant_balance_report(sf_dir: str, cutoff: str = "2000-01-01"):
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     cust_raw = rd.read_parquet(
         table_path(sf_dir, "customer"),
@@ -2715,11 +2684,7 @@ def dormant_balance_report(sf_dir: str, cutoff: str = "2000-01-01"):
             }
         )
 
-    partials = salted_groupby_arrow(
-        cand.union(recent),
-        lambda t: t["key"].to_numpy(zero_copy_only=False),
-        anti_seg_partial,
-    )
+    partials = salted_groupby(cand.union(recent), "key", anti_seg_partial)
     return _combine_partials(
         partials, ["c_mktsegment"], {"n_cust": "sum", "bal_cents": "sum"}
     )
@@ -2741,7 +2706,7 @@ def large_volume_orders(sf_dir: str, min_qty: int = 250):
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     li = rd.read_parquet(
         table_path(sf_dir, "lineitem"), columns=["l_orderkey", "l_quantity"]
@@ -2763,9 +2728,9 @@ def large_volume_orders(sf_dir: str, min_qty: int = 250):
             }
         )
 
-    qualifying = salted_groupby_arrow(
+    qualifying = salted_groupby(
         li.map_batches(partial, batch_format="pyarrow", batch_size=65536),
-        lambda t: t["k"].to_numpy(zero_copy_only=False),
+        "k",
         finish,
     ).to_pandas()
     okeys = np.sort(qualifying["o_orderkey"].to_numpy(dtype=np.int64))
@@ -2878,7 +2843,7 @@ def user_journeys(sf_dir: str, max_len: int = 64):
         out = n.merge(j, on="user_id")
         return out.astype({"user_id": "int64", "n_events": "int64"})
 
-    return salted_groupby(ds, lambda b: b["user_id"], assemble)
+    return salted_groupby(ds, "user_id", assemble)
 
 
 def events_gap_histogram(sf_dir: str):
@@ -2943,7 +2908,7 @@ def events_gap_histogram(sf_dir: str):
         )
         return out.astype({"bucket": "int64", "n": "int64", "total_gap_s": "int64"})
 
-    partials = salted_groupby(ds, lambda b: b["user_id"], gaps_partial)
+    partials = salted_groupby(ds, "user_id", gaps_partial)
     return _combine_partials(
         partials, ["event_type", "bucket"], {"n": "sum", "total_gap_s": "sum"}
     )
@@ -2969,7 +2934,7 @@ def shipping_priority_top10(sf_dir: str, k: int = 10):
     import pyarrow.dataset as pads
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby, salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     cut = _dt.datetime(1998, 1, 1)
 
@@ -3027,11 +2992,7 @@ def shipping_priority_top10(sf_dir: str, k: int = 10):
             }
         )
 
-    qual_orders = salted_groupby_arrow(
-        cust.union(orders),
-        lambda t: t["key"].to_numpy(zero_copy_only=False),
-        semi,
-    )
+    qual_orders = salted_groupby(cust.union(orders), "key", semi)
 
     def li_partial(t: pa.Table) -> pa.Table:
         price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
@@ -3078,7 +3039,7 @@ def shipping_priority_top10(sf_dir: str, k: int = 10):
                 batch_size=65536,
             )
         ),
-        lambda b: b["okey"],
+        "okey",
         topk_partial,
     ).to_pandas()
     out = partials.sort_values(
@@ -3180,7 +3141,7 @@ def small_qty_order_revenue(sf_dir: str, brand: str = "Brand#13"):
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     part = pd.read_parquet(
         table_path(sf_dir, "part"), columns=["p_partkey", "p_brand"]
@@ -3227,11 +3188,7 @@ def small_qty_order_revenue(sf_dir: str, brand: str = "Brand#13"):
             }
         )
 
-    partials = salted_groupby_arrow(
-        cand,
-        lambda t: t["pk"].to_numpy(zero_copy_only=False),
-        verify,
-    )
+    partials = salted_groupby(cand, "pk", verify)
 
     def total(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -3264,7 +3221,7 @@ def top_supplier_revenue(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     lo, hi = _dt.datetime(1996, 1, 1), _dt.datetime(1997, 1, 1)
 
@@ -3292,11 +3249,7 @@ def top_supplier_revenue(sf_dir: str):
         tot = g.groupby("sk", as_index=False)["rev"].sum()
         return tot[tot["rev"] == tot["rev"].max()]
 
-    cand = salted_groupby_arrow(
-        parts,
-        lambda t: t["sk"].to_numpy(zero_copy_only=False),
-        local_max,
-    ).to_pandas()
+    cand = salted_groupby(parts, "sk", local_max).to_pandas()
     best = int(cand["rev"].max())
     winners = np.sort(
         cand.loc[cand["rev"] == best, "sk"].to_numpy(dtype=np.int64)
@@ -3348,7 +3301,7 @@ def nation_volume_shipping(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby, salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     lo, hi = _dt.datetime(1996, 1, 1), _dt.datetime(1998, 1, 1)
 
@@ -3429,11 +3382,7 @@ def nation_volume_shipping(sf_dir: str):
         out["side"] = np.int64(1)
         return out
 
-    stage1 = salted_groupby_arrow(
-        orders.union(li),
-        lambda t: t["okey"].to_numpy(zero_copy_only=False),
-        join1,
-    )
+    stage1 = salted_groupby(orders.union(li), "okey", join1)
 
     def proj_cust(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -3467,9 +3416,7 @@ def nation_volume_shipping(sf_dir: str):
             "rev"
         ].sum()
 
-    partials = salted_groupby(
-        cust.union(stage1), lambda b: b["custkey"], join2
-    )
+    partials = salted_groupby(cust.union(stage1), "custkey", join2)
 
     def finish(b: pd.DataFrame) -> pd.DataFrame:
         if len(b) == 0:
@@ -3520,7 +3467,7 @@ def returned_item_top_customers(sf_dir: str, k: int = 20):
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby, salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     lo, hi = _dt.datetime(1996, 1, 1), _dt.datetime(1996, 7, 1)
 
@@ -3572,11 +3519,7 @@ def returned_item_top_customers(sf_dir: str, k: int = 20):
         )
         return out.groupby("custkey", as_index=False)["rev"].sum()
 
-    stage1 = salted_groupby_arrow(
-        orders.union(li),
-        lambda t: t["okey"].to_numpy(zero_copy_only=False),
-        join1,
-    )
+    stage1 = salted_groupby(orders.union(li), "okey", join1)
 
     def topk(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -3589,7 +3532,7 @@ def returned_item_top_customers(sf_dir: str, k: int = 20):
             ["rev", "custkey"], ascending=[False, True]
         ).head(k)
 
-    cand = salted_groupby(stage1, lambda b: b["custkey"], topk).to_pandas()
+    cand = salted_groupby(stage1, "custkey", topk).to_pandas()
     win = cand.sort_values(["rev", "custkey"], ascending=[False, True]).head(k)
     winners = np.sort(win["custkey"].to_numpy(dtype=np.int64))
     rev_of = dict(zip(win["custkey"].to_numpy(), win["rev"].to_numpy()))
@@ -3642,7 +3585,7 @@ def order_fulfillment_span(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     def li_partial(t: pa.Table) -> pa.Table:
         day = (
@@ -3716,11 +3659,7 @@ def order_fulfillment_span(sf_dir: str):
             total_last_lag_days=("last_lag", "sum"),
         )
 
-    partials = salted_groupby_arrow(
-        orders.union(li),
-        lambda t: t["okey"].to_numpy(zero_copy_only=False),
-        span,
-    )
+    partials = salted_groupby(orders.union(li), "okey", span)
     return _combine_partials(
         partials,
         ["o_orderpriority"],
@@ -3901,7 +3840,7 @@ def customer_cohort_revenue(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     def partial(t: pa.Table) -> pa.Table:
         month = (
@@ -3941,9 +3880,7 @@ def customer_cohort_revenue(sf_dir: str):
         )
         return out.rename(columns={"m": "order_month"})
 
-    partials = salted_groupby_arrow(
-        parts, lambda t: t["ck"].to_numpy(zero_copy_only=False), cohort
-    )
+    partials = salted_groupby(parts, "ck", cohort)
     return _combine_partials(
         partials,
         ["cohort_month", "order_month"],
@@ -3967,7 +3904,7 @@ def loyal_customers(sf_dir: str, min_quarters: int = 3):
     import pyarrow.dataset as pads
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     lo, hi = _dt.datetime(1996, 1, 1), _dt.datetime(1997, 1, 1)
 
@@ -4012,9 +3949,7 @@ def loyal_customers(sf_dir: str, min_quarters: int = 3):
         out = out[out["n_quarters"] >= min_quarters].reset_index()
         return out.rename(columns={"ck": "c_custkey"}).astype("int64")
 
-    return salted_groupby_arrow(
-        parts, lambda t: t["ck"].to_numpy(zero_copy_only=False), divide
-    )
+    return salted_groupby(parts, "ck", divide)
 
 
 def late_order_priority_counts(sf_dir: str, late_days: int = 60):
@@ -4035,7 +3970,7 @@ def late_order_priority_counts(sf_dir: str, late_days: int = 60):
     import pyarrow.dataset as pads
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     lo, hi = _dt.datetime(1996, 7, 1), _dt.datetime(1997, 7, 1)
 
@@ -4103,11 +4038,7 @@ def late_order_priority_counts(sf_dir: str, late_days: int = 60):
             columns={"prio": "o_orderpriority", "size": "n_late_orders"}
         )
 
-    partials = salted_groupby_arrow(
-        orders.union(li),
-        lambda t: t["okey"].to_numpy(zero_copy_only=False),
-        late,
-    )
+    partials = salted_groupby(orders.union(li), "okey", late)
     return _combine_partials(partials, ["o_orderpriority"], {"n_late_orders": "sum"})
 
 
@@ -4135,7 +4066,7 @@ def sole_delay_suppliers(sf_dir: str, k: int = 25, late_days: int = 60):
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     def li_partial(t: pa.Table) -> pa.Table:
         day = (
@@ -4202,11 +4133,7 @@ def sole_delay_suppliers(sf_dir: str, k: int = 25, late_days: int = 60):
             return empty
         return win.groupby("sk", as_index=False).size().rename(columns={"size": "n"})
 
-    partials = salted_groupby_arrow(
-        orders.union(li),
-        lambda t: t["okey"].to_numpy(zero_copy_only=False),
-        waits_partial,
-    )
+    partials = salted_groupby(orders.union(li), "okey", waits_partial)
 
     def local_topk(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -4216,11 +4143,11 @@ def sole_delay_suppliers(sf_dir: str, k: int = 25, late_days: int = 60):
         tot = g.groupby("sk", as_index=False)["n"].sum()
         return tot.sort_values(["n", "sk"], ascending=[False, True]).head(k)
 
-    cand = salted_groupby_arrow(
+    cand = salted_groupby(
         partials.map_batches(
             lambda t: t, batch_format="pyarrow", batch_size=65536
         ),
-        lambda t: t["sk"].to_numpy(zero_copy_only=False),
+        "sk",
         local_topk,
     ).to_pandas()
     cand = cand.sort_values(["n", "sk"], ascending=[False, True]).head(k)
@@ -4268,7 +4195,7 @@ def user_modal_event(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     def partial(t: pa.Table) -> pa.Table:
         return _arrow_group_aggs(
@@ -4307,9 +4234,7 @@ def user_modal_event(sf_dir: str):
             }
         )
 
-    return salted_groupby_arrow(
-        parts, lambda t: t["user_id"].to_numpy(zero_copy_only=False), modal
-    )
+    return salted_groupby(parts, "user_id", modal)
 
 
 def parts_never_shipped(sf_dir: str, year: int = 1997):
@@ -4328,7 +4253,7 @@ def parts_never_shipped(sf_dir: str, year: int = 1997):
     import pyarrow.dataset as pads
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     lo, hi = _dt.datetime(year, 1, 1), _dt.datetime(year + 1, 1, 1)
 
@@ -4386,11 +4311,7 @@ def parts_never_shipped(sf_dir: str, year: int = 1997):
             }
         )
 
-    return salted_groupby_arrow(
-        part.union(li),
-        lambda t: t["pk"].to_numpy(zero_copy_only=False),
-        antijoin,
-    )
+    return salted_groupby(part.union(li), "pk", antijoin)
 
 
 def customer_order_recency(sf_dir: str):
@@ -4409,7 +4330,7 @@ def customer_order_recency(sf_dir: str):
     import pyarrow.dataset as pads
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     since = _dt.datetime(2000, 1, 1)
 
@@ -4471,11 +4392,7 @@ def customer_order_recency(sf_dir: str):
             }
         )
 
-    return salted_groupby_arrow(
-        cust.union(orders),
-        lambda t: t["ck"].to_numpy(zero_copy_only=False),
-        extend,
-    )
+    return salted_groupby(cust.union(orders), "ck", extend)
 
 
 def market_share(
@@ -4511,7 +4428,7 @@ def market_share(
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby, salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     lo, hi = _dt.datetime(1996, 1, 1), _dt.datetime(1998, 1, 1)
 
@@ -4608,11 +4525,7 @@ def market_share(
         out["side"] = np.int64(1)
         return out
 
-    stage1 = salted_groupby_arrow(
-        orders.union(li),
-        lambda t: t["okey"].to_numpy(zero_copy_only=False),
-        join1,
-    )
+    stage1 = salted_groupby(orders.union(li), "okey", join1)
 
     def proj_cust(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -4647,9 +4560,7 @@ def market_share(
         )
         return out.groupby(["o_year", "supp_nk"], as_index=False)["rev"].sum()
 
-    partials = salted_groupby(
-        cust.union(stage1), lambda b: b["custkey"], join2
-    )
+    partials = salted_groupby(cust.union(stage1), "custkey", join2)
 
     def finish(b: pd.DataFrame) -> pd.DataFrame:
         if len(b) == 0:
@@ -4776,7 +4687,7 @@ def dominant_part_suppliers(sf_dir: str, share_pct: int = 15):
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     def li_partial(t: pa.Table) -> pa.Table:
         qty = t["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4807,9 +4718,7 @@ def dominant_part_suppliers(sf_dir: str, share_pct: int = 15):
             }
         )
 
-    partials = salted_groupby_arrow(
-        li, lambda t: t["pk"].to_numpy(zero_copy_only=False), dominate
-    )
+    partials = salted_groupby(li, "pk", dominate)
     tot = _combine_partials(partials, ["sk"], {"n": "sum"}).to_pandas()
     if len(tot) == 0:
         tot = pd.DataFrame({"sk": pd.Series([], dtype="int64"),
@@ -4927,7 +4836,7 @@ def events_disorder_stats(sf_dir: str):
             }
         )
 
-    return salted_groupby(ds, lambda b: b["user_id"], per_user)
+    return salted_groupby(ds, "user_id", per_user)
 
 
 def events_drift_cusum(sf_dir: str):
@@ -5086,7 +4995,7 @@ def user_activity_histogram(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     ds = rd.read_parquet(table_path(sf_dir, "events"), columns=["user_id"])
 
@@ -5107,9 +5016,7 @@ def user_activity_histogram(sf_dir: str):
             }
         )
 
-    out = salted_groupby_arrow(
-        partials, lambda t: t["user_id"].to_numpy(zero_copy_only=False), hist
-    )
+    out = salted_groupby(partials, "user_id", hist)
     return _combine_partials(out, ["n_events"], {"n_users": "sum"})
 
 
@@ -5153,7 +5060,7 @@ def bloom_semijoin_orders(
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     cust_cols = ["c_custkey", "c_nationkey", "c_mktsegment"]
     cust_ds = rd.read_parquet(table_path(sf_dir, "customer"), columns=cust_cols)
@@ -5269,9 +5176,7 @@ def bloom_semijoin_orders(
         )
 
     both = orders.union(cust)
-    return salted_groupby_arrow(
-        both, lambda t: t["key"].to_numpy(zero_copy_only=False), join
-    )
+    return salted_groupby(both, "key", join)
 
 
 def orders_at_time_segment(sf_dir: str):
@@ -5295,7 +5200,7 @@ def orders_at_time_segment(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     # global day bounds from parquet footer stats — no data scan
     md = pq.ParquetFile(table_path(sf_dir, "orders")).metadata
@@ -5407,9 +5312,7 @@ def orders_at_time_segment(sf_dir: str):
         )
 
     both = orders.union(hist)
-    return salted_groupby_arrow(
-        both, lambda t: t["key"].to_numpy(zero_copy_only=False), asof
-    )
+    return salted_groupby(both, "key", asof)
 
 
 ORDERS_AT_TIME_SEGMENT_SQL = """
@@ -5467,7 +5370,7 @@ def linestatus_priority_counts(sf_dir: str):
     import pyarrow.dataset as pads
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     lo, hi = _dt.datetime(1996, 1, 1), _dt.datetime(1998, 1, 1)
 
@@ -5544,9 +5447,7 @@ def linestatus_priority_counts(sf_dir: str):
             high_lines=("high_lines", "sum"), low_lines=("low_lines", "sum")
         )
 
-    parts = salted_groupby_arrow(
-        li.union(orders), lambda t: t["okey"].to_numpy(zero_copy_only=False), finish
-    )
+    parts = salted_groupby(li.union(orders), "okey", finish)
     return _combine_partials(
         parts,
         ["l_returnflag", "l_linestatus"],
@@ -5588,7 +5489,7 @@ def event_type_overlap_matrix(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     def uniq_pairs(t: pa.Table) -> pa.Table:
         agg = _arrow_group_aggs(
@@ -5611,9 +5512,7 @@ def event_type_overlap_matrix(sf_dir: str):
         )
         return out.rename(columns={"event_type_x": "type_a", "event_type_y": "type_b"})
 
-    parts = salted_groupby_arrow(
-        ds, lambda t: t["user_id"].to_numpy(zero_copy_only=False), finish
-    )
+    parts = salted_groupby(ds, "user_id", finish)
     return _combine_partials(parts, ["type_a", "type_b"], {"n_users": "sum"})
 
 
@@ -5754,7 +5653,7 @@ def important_parts_share(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     def partial(t: pa.Table) -> pa.Table:
         price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
@@ -5775,9 +5674,7 @@ def important_parts_share(sf_dir: str):
             revenue_cents=("revenue_cents", "sum")
         )
 
-    per_part = salted_groupby_arrow(
-        parts, lambda t: t["p_partkey"].to_numpy(zero_copy_only=False), finish
-    ).materialize()
+    per_part = salted_groupby(parts, "p_partkey", finish).materialize()
 
     def local_totals(t: pa.Table) -> pa.Table:
         c = t["revenue_cents"].to_numpy(zero_copy_only=False)
@@ -5885,7 +5782,7 @@ def supplier_diversity(sf_dir: str):
         table_path(sf_dir, "lineitem"), columns=["l_partkey", "l_suppkey"]
     ).map_batches(pairs, batch_format="pyarrow", batch_size=65536)
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     def count_partial(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["bc", "sk"])
@@ -5897,7 +5794,7 @@ def supplier_diversity(sf_dir: str):
             + t["sk"].to_numpy(zero_copy_only=False)
         )
 
-    parts = salted_groupby_arrow(ds, pair_salt, count_partial)
+    parts = salted_groupby(ds, pair_salt, count_partial)
     combined = _combine_partials(parts, ["bc"], {"n_suppliers": "sum"})
 
     def decode(b: pd.DataFrame) -> pd.DataFrame:
@@ -6016,7 +5913,7 @@ def nation_year_profit(sf_dir: str, name_token: str = "red"):
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     nation = pd.read_parquet(table_path(sf_dir, "nation"))
     nk_name = dict(zip(nation["n_nationkey"].astype(int), nation["n_name"]))
@@ -6108,11 +6005,7 @@ def nation_year_profit(sf_dir: str, name_token: str = "red"):
         )
         return out.groupby(["supp_nk", "o_year"], as_index=False)["amt"].sum()
 
-    partials = salted_groupby_arrow(
-        orders.union(li),
-        lambda t: t["okey"].to_numpy(zero_copy_only=False),
-        join1,
-    )
+    partials = salted_groupby(orders.union(li), "okey", join1)
 
     def finish(b: pd.DataFrame) -> pd.DataFrame:
         if len(b) == 0:
@@ -6179,7 +6072,7 @@ def min_cost_supplier(sf_dir: str, region: str = "EUROPE", max_size: int = 5):
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.dedup import salted_groupby_arrow
+    from open_parse_ray.stages.dedup import salted_groupby
 
     nation = pd.read_parquet(table_path(sf_dir, "nation"))
     nk_name = dict(zip(nation["n_nationkey"].astype(int), nation["n_name"]))
@@ -6266,9 +6159,7 @@ def min_cost_supplier(sf_dir: str, region: str = "EUROPE", max_size: int = 5):
             }
         )
 
-    return salted_groupby_arrow(
-        li, lambda t: t["pkey"].to_numpy(zero_copy_only=False), pick_min
-    )
+    return salted_groupby(li, "pkey", pick_min)
 
 
 MIN_COST_SUPPLIER_SQL = """
@@ -6579,10 +6470,7 @@ def table_profile_orders(sf_dir: str):
              "h2": "int64", "dcount": "int64"}
         )
 
-    dpart = salted_groupby(
-        drows, lambda b: pd.Series(np.abs(b["h1"].values), index=b.index),
-        count_distinct,
-    )
+    dpart = salted_groupby(drows, lambda t: np.abs(t["h1"].to_numpy()), count_distinct)
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         kinds = dict(_PROFILE_COLS)
@@ -6764,9 +6652,7 @@ def events_watermark_lateness(
 
     partials = salted_groupby(
         ds,
-        lambda b: pd.Series(
-            bucket_of(b["event_id"].to_numpy(dtype=np.int64)), index=b.index
-        ),
+        lambda t: bucket_of(np.asarray(t["event_id"], np.int64)),
         per_bucket,
         num_parts=n_buckets,
     )
@@ -6873,10 +6759,7 @@ def orders_trailing_revenue(sf_dir: str, window_days: int = 90):
 
     return salted_groupby(
         rows,
-        lambda b: pd.Series(
-            np.abs(_splitmix63(b["o_custkey"].to_numpy(dtype=np.int64))),
-            index=b.index,
-        ),
+        lambda t: np.abs(_splitmix63(np.asarray(t["o_custkey"], np.int64))),
         per_cust,
     )
 
@@ -6915,7 +6798,7 @@ def events_stream_first_seen(sf_dir: str, n_queues: int = 16):
     import ray.data as rd
 
     from open_parse_ray.stages.analysis import _splitmix63
-    from open_parse_ray.stages.dedup import salted_groupby
+    from open_parse_ray.stages.dedup import salt_of_key, salted_groupby
 
     ds = rd.read_parquet(
         table_path(sf_dir, "events"),
@@ -6951,12 +6834,9 @@ def events_stream_first_seen(sf_dir: str, n_queues: int = 16):
             }
         )
 
-    def salt(b: pd.DataFrame) -> pd.Series:
-        u = _splitmix63(b["user_id"].to_numpy(dtype=np.int64))
-        t = pd.util.hash_pandas_object(
-            b["event_type"], index=False
-        ).astype("int64")
-        return pd.Series(np.abs(u ^ t.to_numpy()), index=b.index)
+    def salt(t: "pa.Table") -> np.ndarray:
+        u = _splitmix63(np.asarray(t["user_id"], np.int64))
+        return np.abs(u ^ salt_of_key(t, "event_type"))
 
     return salted_groupby(ds, salt, per_pair)
 

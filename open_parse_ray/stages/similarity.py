@@ -84,19 +84,7 @@ def knn_brute_force(
         concurrency=(1, 8),
     )
 
-    # final reduce: batches×k rows — tiny, safe to collect per query group
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        return pd.DataFrame(
-            {
-                "query_id": g["query_id"],
-                "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                "vec_id": g["vec_id"].astype(np.int64),
-            }
-        )
-
-    return partials.groupby("query_id").map_groups(final_topk, batch_format="pandas")
+    return _copart_rank(partials, k)
 
 
 class HyperplaneLSH:
@@ -183,17 +171,7 @@ def ann_lsh_topk(
         concurrency=(1, 8),
     )
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "vec_id"], ascending=[False, True]).head(k)
-        return pd.DataFrame(
-            {
-                "query_id": g["query_id"].astype(np.int64),
-                "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                "vec_id": g["vec_id"].astype(np.int64),
-            }
-        )
-
-    return partials.groupby("query_id").map_groups(final_topk, batch_format="pandas")
+    return _copart_rank(partials, k)
 
 
 def build_ivf_centroids(
@@ -302,17 +280,7 @@ def ann_ivf_topk(
         concurrency=(1, 8),
     )
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "vec_id"], ascending=[False, True]).head(k)
-        return pd.DataFrame(
-            {
-                "query_id": g["query_id"].astype(np.int64),
-                "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                "vec_id": g["vec_id"].astype(np.int64),
-            }
-        )
-
-    return partials.groupby("query_id").map_groups(final_topk, batch_format="pandas")
+    return _copart_rank(partials, k)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +356,9 @@ def _bucket_topk_partials(part: pd.DataFrame, k: int) -> pd.DataFrame:
 
 
 def _copart_rank(partials, k: int):
-    """Second (tiny) exchange: global per-query top-k → (query_id, rank,
-    vec_id), same sort/tie-break as the broadcast twins."""
+    """Final (tiny) exchange of every ANN path, broadcast and
+    co-partitioned: per-query top-k of the (query_id, vec_id, sim)
+    partials by (sim desc, vec_id asc) → (query_id, rank, vec_id)."""
     from open_parse_ray.stages.dedup import salted_groupby
 
     def final_topk(part: pd.DataFrame) -> pd.DataFrame:
@@ -415,7 +384,7 @@ def _copart_rank(partials, k: int):
             )
         return pd.concat(outs, ignore_index=True)
 
-    return salted_groupby(partials, lambda b: b["query_id"], final_topk)
+    return salted_groupby(partials, "query_id", final_topk)
 
 
 def ann_lsh_topk_copart(
@@ -495,7 +464,7 @@ def ann_lsh_topk_copart(
 
     partials = salted_groupby(
         base.union(qside),
-        lambda b: b["bucket"],
+        "bucket",
         lambda part: _bucket_topk_partials(part, k),
     )
     return _copart_rank(partials, k)
@@ -590,7 +559,7 @@ def ann_ivf_topk_copart(
 
     partials = salted_groupby(
         base.union(qside),
-        lambda b: b["bucket"],
+        "bucket",
         lambda part: _bucket_topk_partials(part, k),
     )
     return _copart_rank(partials, k)
@@ -796,17 +765,7 @@ def ann_pq_topk(
         concurrency=(1, 8),
     )
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "vec_id"], ascending=[False, True]).head(k)
-        return pd.DataFrame(
-            {
-                "query_id": g["query_id"].astype(np.int64),
-                "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                "vec_id": g["vec_id"].astype(np.int64),
-            }
-        )
-
-    return partials.groupby("query_id").map_groups(final_topk, batch_format="pandas")
+    return _copart_rank(partials, k)
 
 
 def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.3, n_chunks: int = 4):
@@ -841,12 +800,7 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.3, n_chunks: int =
             return _neardup_bucket_pairs(part.iloc[:0], threshold)
         return pd.concat(outs, ignore_index=True)
 
-    def salt(b: pd.DataFrame) -> pd.Series:
-        return pd.util.hash_pandas_object(
-            b[["label", "ca", "cb"]], index=False
-        ).astype("int64")
-
-    return salted_groupby(rep, salt, part_pairs)
+    return salted_groupby(rep, ["label", "ca", "cb"], part_pairs)
 
 
 def semdedup_pairs(
@@ -900,12 +854,7 @@ def semdedup_pairs(
             return _neardup_bucket_pairs(part.iloc[:0], threshold)
         return pd.concat(outs, ignore_index=True)
 
-    def salt(b: pd.DataFrame) -> pd.Series:
-        return pd.util.hash_pandas_object(b[["label", "ca", "cb"]], index=False).astype(
-            "int64"
-        )
-
-    return salted_groupby(rep, salt, part_pairs)
+    return salted_groupby(rep, ["label", "ca", "cb"], part_pairs)
 
 
 def semdedup_keep(
@@ -1001,7 +950,9 @@ def semdedup_keep(
 
     return salted_groupby(
         union,
-        lambda b: pd.util.hash_pandas_object(b["vec_id"], index=False).astype("int64"),
+        lambda t: pd.util.hash_pandas_object(
+            t["vec_id"].to_pandas(), index=False
+        ).astype("int64"),
         join,
     )
 

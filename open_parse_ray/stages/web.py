@@ -143,13 +143,7 @@ def url_canonical_dedup(sf_dir: str):
         )
         return g.astype({"n_dups": "int64", "rep_doc_id": "int64"})
 
-    return salted_groupby(
-        canon,
-        lambda b: pd.util.hash_pandas_object(b["canonical_url"], index=False).astype(
-            "int64"
-        ),
-        collapse,
-    )
+    return salted_groupby(canon, "canonical_url", collapse)
 
 
 def leakage_safe_splits(sf_dir: str, train_pct: int = 80, val_pct: int = 10):
@@ -202,13 +196,7 @@ def leakage_safe_splits(sf_dir: str, train_pct: int = 80, val_pct: int = 10):
             }
         )
 
-    return salted_groupby(
-        canon,
-        lambda b: pd.util.hash_pandas_object(b["canonical_url"], index=False).astype(
-            "int64"
-        ),
-        assign,
-    )
+    return salted_groupby(canon, "canonical_url", assign)
 
 
 def url_domain_stats(sf_dir: str):
@@ -333,7 +321,7 @@ def url_editdist_pairs(sf_dir: str, num_parts: Optional[int] = None):
 
     canon = salted_groupby(
         docs.map_batches(canon_rows, batch_format="pandas", batch_size=8192),
-        lambda b: pd.util.hash_pandas_object(b["url"], index=False).astype("int64"),
+        "url",
         distinct,
         num_parts=num_parts,
     )
@@ -364,15 +352,15 @@ def url_editdist_pairs(sf_dir: str, num_parts: Optional[int] = None):
                         ob.append(us[j])
         return pd.DataFrame({"url_a": oa, "url_b": ob})
 
-    pairs = salted_groupby(rows, lambda b: b["bucket"], bucket_pairs, num_parts=num_parts)
+    pairs = salted_groupby(rows, "bucket", bucket_pairs, num_parts=num_parts)
 
     def dedupe(part: pd.DataFrame) -> pd.DataFrame:
         return part.drop_duplicates(["url_a", "url_b"])
 
     return salted_groupby(
         pairs,
-        lambda b: pd.util.hash_pandas_object(
-            b["url_a"] + "\x00" + b["url_b"], index=False
+        lambda t: pd.util.hash_pandas_object(
+            t["url_a"].to_pandas() + "\x00" + t["url_b"].to_pandas(), index=False
         ).astype("int64"),
         dedupe,
         num_parts=num_parts,
@@ -752,15 +740,14 @@ def _url_salt(col: str):
     idiom for url/host exchanges in this module."""
     import hashlib
 
-    def f(b: pd.DataFrame) -> pd.Series:
-        return pd.Series(
+    def f(t) -> np.ndarray:
+        return np.array(
             [
                 int.from_bytes(hashlib.md5(u.encode()).digest()[:8], "big")
                 >> 1
-                for u in b[col]
+                for u in t[col].to_pylist()
             ],
-            index=b.index,
-            dtype="int64",
+            dtype=np.int64,
         )
 
     return f

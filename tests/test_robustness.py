@@ -99,36 +99,42 @@ def test_salted_groupby_num_parts_invariance(ray_session, tmp_path):
 
     from open_parse_ray.stages.dedup import default_num_parts, salted_groupby
 
-    src = rd.range(2000).map_batches(
-        lambda b: pd.DataFrame(
-            {"k": (b["id"] * 7919) % 97, "v": b["id"]}
-        ),
-        batch_format="numpy",
-    )
+    def rows(ids):
+        k = (ids * 7919) % 97
+        return pd.DataFrame(
+            {"k": k, "ks": [f"key-{x:02d}" for x in k], "k2": ids % 3, "v": ids}
+        )
+
+    src = rd.range(2000).map_batches(lambda b: rows(b["id"]), batch_format="numpy")
     ids = np.arange(2000, dtype=np.int64)
-    frame = pd.DataFrame({"k": (ids * 7919) % 97, "v": ids})
     # the same rows behind a Parquet read, so the default width runs the
     # byte estimate; ~1 KiB of padding per row puts it at ~2 MiB
     pq.write_table(
-        pa.Table.from_pandas(frame.assign(pad=[f"{i:08d}" * 128 for i in ids])),
+        pa.Table.from_pandas(rows(ids).assign(pad=[f"{i:08d}" * 128 for i in ids])),
         tmp_path / "kv.parquet",
     )
 
-    def per_key(part: pd.DataFrame) -> pd.DataFrame:
-        return part.groupby("k", as_index=False).agg(
-            n=("v", "size"), s=("v", "sum"), mn=("v", "min")
-        )
+    def run(ds, key, parts):
+        cols = [key] if isinstance(key, str) else key
 
-    def run(ds, parts):
+        def per_key(part: pd.DataFrame) -> pd.DataFrame:
+            return part.groupby(cols, as_index=False).agg(
+                n=("v", "size"), s=("v", "sum"), mn=("v", "min")
+            )
+
         return (
-            salted_groupby(ds, lambda b: b["k"], per_key, num_parts=parts)
+            salted_groupby(ds, key, per_key, num_parts=parts)
             .to_pandas()
-            .sort_values("k")
+            .sort_values(cols)
             .reset_index(drop=True)
         )
 
-    results = [run(src, parts) for parts in (1, 7, 32)]
-    results.append(run(rd.read_parquet(str(tmp_path / "kv.parquet")), None))
+    # an integer key (salt = value), a string key and a two-column key
+    # (salt = hash of the columns), with their group counts
+    keys = [("k", 97), ("ks", 97), (["ks", "k2"], 97 * 3)]
+    results = [[run(src, key, parts) for parts in (1, 7, 32)] for key, _ in keys]
+    for (key, _), res in zip(keys, results):
+        res.append(run(rd.read_parquet(str(tmp_path / "kv.parquet")), key, None))
     ctx = ray.data.DataContext.get_current()
     old = ctx.target_max_block_size
     try:
@@ -138,17 +144,90 @@ def test_salted_groupby_num_parts_invariance(ray_session, tmp_path):
         cpus = int(ray.cluster_resources()["CPU"])
         width = default_num_parts(pq_src)
         assert width > 4 * cpus
-        results.append(run(pq_src, None))
+        for (key, _), res in zip(keys, results):
+            res.append(run(pq_src, key, None))
         # and the default call runs at that width: one fn call per salt
         groups = salted_groupby(
-            pq_src, lambda b: b["k"], lambda g: pd.DataFrame({"n": [len(g)]})
+            pq_src, "k", lambda g: pd.DataFrame({"n": [len(g)]})
         )
         assert groups.count() == len({k % width for k in range(97)})
     finally:
         ctx.target_max_block_size = old
-    for other in results[1:]:
-        assert results[0].equals(other)
-    assert len(results[0]) == 97
+    for (key, n), res in zip(keys, results):
+        for other in res[1:]:
+            assert res[0].equals(other), key
+        assert len(res[0]) == n
+
+
+def test_salt_key_rule_matches_parent_formulas():
+    """The exchange key rule reproduces, value for value, the two salt
+    formulas call sites used to write by hand against a pandas batch:
+    an integer column is its own salt, and a string/binary column or a
+    list of columns salts on ``pd.util.hash_pandas_object(b[key],
+    index=False).astype("int64")``."""
+    import numpy as np
+
+    from open_parse_ray.stages.dedup import salt_of_key
+
+    frame = pd.DataFrame(
+        {
+            "i": np.array([5, -3, 2**40, 0, 5, 97], dtype=np.int64),
+            "s": ["a", "", "h\u00e9llo", "a", "zz", "a"],
+            "y": [b"\x00\xff", b"", b"abc", b"\x00\xff", b"q", b"a"],
+        }
+    )
+    # a pandas-built block read back as Arrow, in one and in two chunks
+    one = pa.Table.from_pandas(frame, preserve_index=False)
+    two = pa.concat_tables([one.slice(0, 2), one.slice(2)])
+    empty = pa.Table.from_pandas(frame.iloc[:0], preserve_index=False)
+    for t in (one, two, empty):
+        b = t.to_pandas()  # the batch a pandas salt stage was handed
+        got = salt_of_key(t, "i")
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, b["i"].to_numpy())
+        for key in ("s", "y", ["s", "i"], ["y", "s"]):
+            want = pd.util.hash_pandas_object(b[key], index=False).astype("int64")
+            got = salt_of_key(t, key)
+            assert got.dtype == np.int64, key
+            np.testing.assert_array_equal(got, want.to_numpy(), err_msg=str(key))
+    # a one-name list is a frame hash, not the column's own salt
+    assert not np.array_equal(salt_of_key(one, ["i"]), salt_of_key(one, "i"))
+    # a callable salt is passed the table and used as is
+    np.testing.assert_array_equal(
+        salt_of_key(one, lambda t: t["i"].to_numpy() * 3), frame["i"].to_numpy() * 3
+    )
+
+
+def test_one_exchange_primitive():
+    """The engine has one exchange: ``.map_groups(`` is called only in
+    stages/dedup.py::salted_groupby, no Ray ``.aggregate(`` call is
+    left (bounded groups go through the two-phase aggregate), and the
+    retired ``salted_groupby_arrow`` twin is gone."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "open_parse_ray"
+    exchange, stray = [], []
+    for path in sorted(root.rglob("*.py")):
+        src = path.read_text()
+        assert "salted_groupby_arrow" not in src, path
+        for top in ast.parse(src).body:
+            owner = (str(path.relative_to(root)), getattr(top, "name", None))
+            for node in ast.walk(top):
+                if not (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                ):
+                    continue
+                where = f"{owner[0]}::{owner[1]}:{node.lineno}"
+                if node.func.attr == "aggregate":
+                    stray.append(where)
+                elif node.func.attr == "map_groups":
+                    if owner == ("stages/dedup.py", "salted_groupby"):
+                        exchange.append(where)
+                    else:
+                        stray.append(where)
+    assert len(exchange) == 1, exchange
+    assert stray == [], stray
 
 
 def test_default_num_parts_rule(ray_session, tmp_path, monkeypatch):
