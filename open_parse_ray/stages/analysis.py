@@ -16,8 +16,10 @@ from typing import Dict
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from open_parse_ray.sources.tables import table_path
+from open_parse_ray.stages.dedup import TEXT_SLICE_ROWS
 
 _WS_SPLIT = re.compile(r"\s+")
 _ALPHA = re.compile(r"[a-zA-Z]")
@@ -381,31 +383,62 @@ def langid_preds(sf_dir: str):
     )
 
 
+def term_counts(text, per_doc: bool = False):
+    r"""The Arrow ``(term, n)`` partial of the Arrow string column
+    ``text``: every whitespace-split term and its count, or with
+    ``per_doc=True`` the number of strings that hold it.
+
+    Terms are ``s.split()`` of every string: ``pc.utf8_split_whitespace``
+    classifies every code point as whitespace exactly as ``str.split``
+    does, and its empty strings (leading/trailing whitespace, blank
+    text) are dropped from the counts. Counting is one hash aggregate
+    (``pc.value_counts``). For ``per_doc`` each (string, term) pair is
+    kept once first: per slice of :data:`TEXT_SLICE_ROWS` strings, as
+    one int64 key over the slice's term dictionary (whole-column keys
+    cost ~9x the text in memory). The DuckDB oracles split
+    ``trim(text)`` on RE2 ``\s`` (ASCII [ \t\n\f\r] only; ``trim``
+    strips only ' '), so they agree with this only on text whose
+    whitespace is all in that set and holds nothing but ' ' at either
+    end. Pinned against the per-row ``Counter`` by
+    tests/test_robustness.py::test_term_counts_equal_python_counter."""
+    import pyarrow.compute as pc
+
+    if per_doc:
+        pairs = []
+        for start in range(0, len(text), TEXT_SLICE_ROWS):
+            lists = pc.utf8_split_whitespace(text.slice(start, TEXT_SLICE_ROWS))
+            flat = pc.list_flatten(lists)
+            if isinstance(flat, pa.ChunkedArray):
+                flat = flat.combine_chunks()
+            enc = flat.dictionary_encode()
+            n_vocab = len(enc.dictionary)
+            key = pc.list_parent_indices(lists).to_numpy() * n_vocab + enc.indices.to_numpy()
+            pairs.append(enc.dictionary.take(np.unique(key) % n_vocab))
+        terms = pa.chunked_array(pairs, text.type)
+    else:
+        terms = pc.list_flatten(pc.utf8_split_whitespace(text))
+    counts = pc.value_counts(terms)
+    out = pa.table({"term": counts.field("values"), "n": counts.field("counts")})
+    return out.filter(pc.not_equal(out["term"], ""))
+
+
 def top_terms(sf_dir: str, k: int = 20):
     """Corpus term-frequency top-k (the word-count of training-data
-    pipelines). Plan: per-batch tokenize + local Counter → (term, n)
-    partials (each block collapses to ≤|vocab-in-block| rows before any
-    exchange), salted shuffle on hash(term) to sum per term, per-partition
-    partial top-k, then a tiny global sort+limit — the full term table is
-    never globally sorted. Ties break on the term string ascending, same
-    as the oracle. Returns (rank, term, n)."""
-    from collections import Counter
-
+    pipelines). Plan: per-batch Arrow (term, n) partials
+    (:func:`term_counts`; each block collapses to ≤|vocab-in-block| rows
+    before any exchange), salted shuffle on hash(term) to sum per term,
+    per-partition partial top-k, then a tiny global sort+limit — the
+    full term table is never globally sorted. Ties break on the term
+    string ascending, same as the oracle. Returns (rank, term, n). Equal
+    to its SQL oracle on the text named in :func:`term_counts`."""
     from open_parse_ray.stages.dedup import salted_groupby
 
     ds = read_documents(sf_dir, columns=["text"])
 
-    def partial_counts(b: pd.DataFrame) -> pd.DataFrame:
-        c: Counter = Counter()
-        for t in b["text"]:
-            t = t.strip()
-            if t:
-                c.update(_WS_SPLIT.split(t))
-        return pd.DataFrame(
-            {"term": list(c.keys()), "n": np.asarray(list(c.values()), dtype=np.int64)}
-        )
+    def partial_counts(t: pa.Table) -> pa.Table:
+        return term_counts(t.column("text"))
 
-    partials = ds.map_batches(partial_counts, batch_format="pandas", batch_size=8192)
+    partials = ds.map_batches(partial_counts, batch_format="pyarrow", batch_size=8192)
 
     def sum_and_topk(part: pd.DataFrame) -> pd.DataFrame:
         g = part.groupby("term", as_index=False).agg(n=("n", "sum"))
@@ -427,27 +460,20 @@ def top_terms(sf_dir: str, k: int = 20):
 
 def term_doc_freq(sf_dir: str):
     """Document frequency per term (the DF side of TF-IDF / stopword
-    detection). Per-batch: per-doc DISTINCT terms → local (term, df)
-    partials; salted shuffle on hash(term); per-partition sum. DF counts
-    are additive across batches because each doc contributes each term at
-    most once and a doc lives in exactly one input row. Returns (term, df)."""
-    from collections import Counter
-
+    detection). Per-batch Arrow (term, df) partials
+    (:func:`term_counts` with ``per_doc``); salted shuffle on
+    hash(term); per-partition sum. DF counts are additive across
+    batches because each doc contributes each term at most once and a
+    doc lives in exactly one input row. Returns (term, df). Equal to
+    its SQL oracle on the text named in :func:`term_counts`."""
     from open_parse_ray.stages.dedup import salted_groupby
 
     ds = read_documents(sf_dir, columns=["text"])
 
-    def partial_df(b: pd.DataFrame) -> pd.DataFrame:
-        c: Counter = Counter()
-        for t in b["text"]:
-            t = t.strip()
-            if t:
-                c.update(set(_WS_SPLIT.split(t)))
-        return pd.DataFrame(
-            {"term": list(c.keys()), "df": np.asarray(list(c.values()), dtype=np.int64)}
-        )
+    def partial_df(t: pa.Table) -> pa.Table:
+        return term_counts(t.column("text"), per_doc=True).rename_columns(["term", "df"])
 
-    partials = ds.map_batches(partial_df, batch_format="pandas", batch_size=8192)
+    partials = ds.map_batches(partial_df, batch_format="pyarrow", batch_size=8192)
 
     def sum_df(part: pd.DataFrame) -> pd.DataFrame:
         return part.groupby("term", as_index=False).agg(df=("df", "sum")).astype({"df": "int64"})

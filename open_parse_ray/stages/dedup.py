@@ -22,7 +22,6 @@ Scale shapes (the part that matters at 100 TB):
 from __future__ import annotations
 
 import hashlib
-import re
 from typing import List, Optional
 
 import numpy as np
@@ -421,6 +420,63 @@ def salted_groupby(ds, key, fn, num_parts: Optional[int] = None):
     return salted.groupby("_part").map_groups(run, batch_format="pandas")
 
 
+# Only where the replacement changes bytes: a run of two or more ASCII
+# whitespace characters, or one tab/newline/CR. A lone space is left
+# unmatched, so RE2 does not rewrite every word gap. Replacing these
+# with " " equals re.sub(r"[ \t\n\r]+", " ", s) on every string.
+_WS_CHANGE = r"[ \t\n\r]{2,}|[\t\n\r]"
+# The text kernels (text_fp, analysis.term_counts per string) work
+# through a column in slices of this many rows, so their Arrow and
+# Python copies of the text hold one slice at a time: on a 5000-row,
+# 12.8 MB column text_fp's peak RSS rise is 4 MB sliced vs 36 MB whole,
+# and the per-string term count's 15 MB vs 111 MB.
+TEXT_SLICE_ROWS = 256
+
+
+def text_fp(text, normalize: bool = False):
+    r"""(fp, fp_salt) of every string of the Arrow column ``text``:
+    ``fp`` is the ``binary(16)`` md5 digest of the UTF-8 text and
+    ``fp_salt`` the int64 of its first 4 digest bytes, big-endian (the
+    first 8 hex digits of the md5 hex).
+
+    ``normalize=True`` fingerprints ``re.sub(r"[ \t\n\r]+", " ",
+    s).strip().lower()`` instead: the whitespace runs collapse in one
+    Arrow regex pass over the column (:data:`_WS_CHANGE`), then
+    ``str.strip`` and ``str.lower`` run per row. Python semantics on
+    purpose: ``pc.utf8_lower`` differs from ``str.lower`` at U+0130 and
+    at a word-final sigma, and ``str.strip`` strips all Unicode
+    whitespace. The DuckDB oracles (``trim`` strips only ' ', ``lower``
+    maps U+0130 to 'i' and a final capital sigma to 'σ') agree with
+    this only on text without U+0130, a word-final capital sigma, or
+    whitespace other than [ \t\n\r] at either end. Pinned against the
+    per-row formula by
+    tests/test_robustness.py::test_text_fp_equals_python_formula."""
+    import pyarrow.compute as pc
+
+    parts = []
+    for start in range(0, len(text), TEXT_SLICE_ROWS):
+        rows = text.slice(start, TEXT_SLICE_ROWS)
+        if normalize:
+            rows = pc.replace_substring_regex(rows, _WS_CHANGE, " ")
+            texts = (s.strip().lower() for s in rows.to_pylist())
+        else:
+            texts = rows.to_pylist()
+        parts += [hashlib.md5(s.encode()).digest() for s in texts]
+    digests = b"".join(parts)
+    n = len(text)
+    fp = pa.Array.from_buffers(pa.binary(16), n, [None, pa.py_buffer(digests)])
+    salt = np.frombuffer(digests, dtype=">u4").reshape(n, 4)[:, 0].astype(np.int64)
+    return fp, pa.array(salt, pa.int64())
+
+
+def _min_id_groups(part: pd.DataFrame) -> pd.DataFrame:
+    """(doc_id = min id, n_copies) per distinct ``fp`` of a partition."""
+    out = part.groupby("fp", as_index=False).agg(
+        doc_id=("doc_id", "min"), n_copies=("doc_id", "size")
+    )
+    return out[["doc_id", "n_copies"]].astype({"doc_id": "int64", "n_copies": "int64"})
+
+
 def exact_dedup_groups(sf_dir: str):
     """(doc_id = min id per distinct text, n_copies). Shuffles a 16-byte
     fp (never the text), salted to :func:`default_num_parts` partitions:
@@ -431,35 +487,11 @@ def exact_dedup_groups(sf_dir: str):
     ds = rd.read_parquet(table_path(sf_dir, "documents"), columns=["doc_id", "text"])
 
     def add_fp(t: pa.Table) -> pa.Table:
-        # Arrow-native: doc_id rides zero-copy; the salt (first 4 digest
-        # bytes, == int(fp[:8], 16)) is computed from the raw digests in
-        # one vectorized frombuffer instead of a per-row string parse.
-        digests = [hashlib.md5(s.encode()).digest() for s in t.column("text").to_pylist()]
-        if digests:
-            salt = np.frombuffer(
-                b"".join(d[:4] for d in digests), dtype=">u4"
-            ).astype(np.int64)
-        else:
-            salt = np.array([], dtype=np.int64)
-        return pa.table(
-            {
-                "doc_id": t.column("doc_id"),
-                "fp": pa.array([d.hex() for d in digests], pa.string()),
-                "fp_salt": pa.array(salt, pa.int64()),
-            }
-        )
+        fp, salt = text_fp(t.column("text"))
+        return pa.table({"doc_id": t.column("doc_id"), "fp": fp, "fp_salt": salt})
 
     hashed = ds.map_batches(add_fp, batch_format="pyarrow", batch_size=8192)
-
-    def groups(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby("fp", as_index=False).agg(
-            doc_id=("doc_id", "min"), n_copies=("doc_id", "size")
-        )
-        return out[["doc_id", "n_copies"]].astype(
-            {"doc_id": "int64", "n_copies": "int64"}
-        )
-
-    return salted_groupby(hashed, "fp_salt", groups)
+    return salted_groupby(hashed, "fp_salt", _min_id_groups)
 
 
 # ---------------------------------------------------------------------------
@@ -2182,14 +2214,6 @@ def char_jaccard_pairs(sf_dir: str, sample_mod: int = 50, threshold: float = 0.5
     )
 
 
-_WS_RE = re.compile(r"[ \t\n\r]+")
-
-
-def _fp_salt(t: pa.Table) -> np.ndarray:
-    """Salt of an md5-hex ``fp`` column: its first 8 hex digits."""
-    return np.array([int(f[:8], 16) for f in t["fp"].to_pylist()], dtype=np.int64)
-
-
 def keep_best_dedup(sf_dir: str):
     """Normalized exact dedup keeping the BEST member, not the first:
     per normalized-distinct text, survive the copy with the most raw
@@ -2199,30 +2223,28 @@ def keep_best_dedup(sf_dir: str):
     n_chars) for each surviving doc.
 
     Same scale shape as normalized_exact_dedup: the exchange carries a
-    16-byte normalized fp + two ints per row, never text; the argmax
+    16-byte normalized fp + three ints per row, never text; the argmax
     runs vectorized per partition. Full SQL oracle (row_number over the
-    same normalization expression)."""
+    same normalization expression) on text without the Unicode cases
+    named in :func:`text_fp`."""
     import ray.data as rd
 
     ds = rd.read_parquet(
         table_path(sf_dir, "documents"), columns=["doc_id", "text", "n_chars"]
     )
 
-    def add_fp(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
+    def add_fp(t: pa.Table) -> pa.Table:
+        fp, salt = text_fp(t.column("text"), normalize=True)
+        return pa.table(
             {
-                "doc_id": batch["doc_id"].astype("int64"),
-                "n_chars": batch["n_chars"].astype("int64"),
-                "fp": [
-                    hashlib.md5(
-                        _WS_RE.sub(" ", t).strip().lower().encode()
-                    ).hexdigest()
-                    for t in batch["text"]
-                ],
+                "doc_id": t.column("doc_id"),
+                "n_chars": t.column("n_chars"),
+                "fp": fp,
+                "fp_salt": salt,
             }
         )
 
-    hashed = ds.map_batches(add_fp, batch_format="pandas", batch_size=8192)
+    hashed = ds.map_batches(add_fp, batch_format="pyarrow", batch_size=8192)
 
     def best(part: pd.DataFrame) -> pd.DataFrame:
         part = part.sort_values(
@@ -2237,7 +2259,7 @@ def keep_best_dedup(sf_dir: str):
             {"doc_id": "int64", "n_copies": "int64", "n_chars": "int64"}
         )
 
-    return salted_groupby(hashed, _fp_salt, best)
+    return salted_groupby(hashed, "fp_salt", best)
 
 
 def normalized_exact_dedup(sf_dir: str):
@@ -2247,36 +2269,20 @@ def normalized_exact_dedup(sf_dir: str):
     staying a pure hash shuffle (no shingling, no LSH).
 
     Same scale shape as :func:`exact_dedup_groups`: the exchange carries
-    a 16-byte fp of the NORMALIZED text, never the text itself. Returns
-    (doc_id = min id per normalized-distinct text, n_copies)."""
+    a 16-byte fp of the NORMALIZED text (:func:`text_fp`), never the
+    text itself. Returns (doc_id = min id per normalized-distinct text,
+    n_copies). Equal to its SQL oracle on text without the Unicode
+    cases named in :func:`text_fp`."""
     import ray.data as rd
 
     ds = rd.read_parquet(table_path(sf_dir, "documents"), columns=["doc_id", "text"])
 
-    def add_fp(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"],
-                "fp": [
-                    hashlib.md5(
-                        _WS_RE.sub(" ", t).strip().lower().encode()
-                    ).hexdigest()
-                    for t in batch["text"]
-                ],
-            }
-        )
+    def add_fp(t: pa.Table) -> pa.Table:
+        fp, salt = text_fp(t.column("text"), normalize=True)
+        return pa.table({"doc_id": t.column("doc_id"), "fp": fp, "fp_salt": salt})
 
-    hashed = ds.map_batches(add_fp, batch_format="pandas", batch_size=8192)
-
-    def groups(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby("fp", as_index=False).agg(
-            doc_id=("doc_id", "min"), n_copies=("doc_id", "size")
-        )
-        return out[["doc_id", "n_copies"]].astype(
-            {"doc_id": "int64", "n_copies": "int64"}
-        )
-
-    return salted_groupby(hashed, _fp_salt, groups)
+    hashed = ds.map_batches(add_fp, batch_format="pyarrow", batch_size=8192)
+    return salted_groupby(hashed, "fp_salt", _min_id_groups)
 
 # ---------------------------------------------------------------------------
 # Bloom-prefiltered duplicate-group extraction

@@ -325,8 +325,12 @@ def _bucket_topk_partials(part: pd.DataFrame, k: int) -> pd.DataFrame:
     """Partition kernel shared by both co-partitioned variants: for each
     bucket present, normalized candidate × normalized query matmul →
     per-(query, bucket) top-k rows. Normalization expressions mirror the
-    broadcast twins exactly (zero-norm → 1), so sims are bit-equal."""
+    broadcast twins exactly (zero-norm → 1), so sims are bit-equal.
+    Rows are sorted by (bucket, side, id) first: a matmul's rounding
+    depends on where a row sits in the matrix, so this makes ``sim``
+    independent of the row order the exchange delivers."""
     out_q, out_v, out_s = [], [], []
+    part = part.sort_values(["bucket", "side", "id"], kind="stable")
     for _, g in part.groupby("bucket", sort=False):
         qs = g[g["side"] == 0]
         vs = g[g["side"] == 1]

@@ -884,3 +884,119 @@ def test_salted_ops_under_extreme_skew(ray_session, tmp_path):
         assert got.loc[uid, "inversions"] == _inversions_chunked(
             _cents(g["value"])
         ), uid
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the Arrow text kernels (text_fp, term_counts) against the
+# per-row Python formulas they replaced, and of the ANN bucket kernel
+# against the row order of its partition. Ray-free.
+# ---------------------------------------------------------------------------
+
+
+def _hostile_strings(n=200_000, seed=0):
+    """Random strings over an alphabet where Python and Arrow/RE2 text
+    semantics can part: Unicode whitespace that str.split/str.strip know
+    but ASCII classes do not, U+0130 and capital sigma (str.lower vs
+    utf8_lower), CRLF and double spaces; plus "" and all-whitespace."""
+    import random
+
+    alphabet = [
+        "a", "b", "ab", "A", "Σ", "İ", " ", "  ", "\t", "\n", "\r", "\r\n",
+        "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "　",
+    ]
+    ws = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "　"]
+    rng = random.Random(seed)
+    out = ["", " ", "\xa0", "　 \x85"]
+    out += ["".join(rng.choices(ws, k=rng.randint(1, 6))) for _ in range(1000)]
+    while len(out) < n:
+        out.append("".join(rng.choices(alphabet, k=rng.randint(0, 12))))
+    return out
+
+
+def test_text_fp_equals_python_formula():
+    import hashlib
+    import re
+
+    from open_parse_ray.stages.dedup import text_fp
+
+    texts = _hostile_strings()
+    col = pa.chunked_array([texts[:70_000], texts[70_000:]], pa.string())
+
+    ws = re.compile(r"[ \t\n\r]+")
+    want = [hashlib.md5(ws.sub(" ", s).strip().lower().encode()).hexdigest() for s in texts]
+    fp, salt = text_fp(col, normalize=True)
+    assert fp.type == pa.binary(16) and salt.type == pa.int64()
+    assert [d.hex() for d in fp.to_pylist()] == want
+    assert salt.to_pylist() == [int(h[:8], 16) for h in want]
+
+    raw = [hashlib.md5(s.encode()).hexdigest() for s in texts]
+    fp, salt = text_fp(col)
+    assert [d.hex() for d in fp.to_pylist()] == raw
+    assert salt.to_pylist() == [int(h[:8], 16) for h in raw]
+
+    fp, salt = text_fp(pa.array([], pa.string()), normalize=True)
+    assert len(fp) == 0 and len(salt) == 0
+
+
+def test_term_counts_equal_python_counter():
+    import re
+    from collections import Counter
+
+    from open_parse_ray.stages.analysis import term_counts
+
+    texts = _hostile_strings(seed=1)
+    col = pa.chunked_array([texts[:90_000], texts[90_000:]], pa.string())
+
+    split = re.compile(r"\s+")
+    tf: Counter = Counter()
+    df: Counter = Counter()
+    for t in texts:
+        t = t.strip()
+        if t:
+            tf.update(split.split(t))
+            df.update(set(split.split(t)))
+
+    for per_doc, want in ((False, tf), (True, df)):
+        got = term_counts(col, per_doc=per_doc)
+        assert got.column_names == ["term", "n"]
+        assert got.column("n").type == pa.int64()
+        terms = got.column("term").to_pylist()
+        assert len(set(terms)) == len(terms)
+        assert dict(zip(terms, got.column("n").to_pylist())) == dict(want)
+
+
+def test_utf8_split_whitespace_matches_str_split():
+    """Every code point is whitespace to ``pc.utf8_split_whitespace``
+    exactly when it is to ``str.split`` — the premise of term_counts,
+    which depends on the pyarrow build and its Unicode database."""
+    import pyarrow.compute as pc
+
+    strs = [
+        "a" + chr(c) + "b"
+        for c in range(0x110000)
+        if not 0xD800 <= c <= 0xDFFF
+    ]
+    got = pc.utf8_split_whitespace(pa.array(strs, pa.string()))
+    want = [s.split() for s in strs]
+    assert pc.list_value_length(got).to_pylist() == [len(w) for w in want]
+    assert pc.list_flatten(got).to_pylist() == [x for w in want for x in w]
+
+
+def test_bucket_topk_partials_independent_of_row_order():
+    import numpy as np
+
+    from open_parse_ray.stages.similarity import _bucket_topk_partials
+
+    rng = np.random.default_rng(0)
+    rows = []
+    for b in range(6):
+        for side, n in ((0, int(rng.integers(1, 6))), (1, int(rng.integers(5, 60)))):
+            for i in range(n):
+                v = rng.standard_normal(64).astype(np.float32).astype(np.float64)
+                rows.append({"bucket": b, "id": 1000 * b + i, "side": side, "vec": v.tobytes()})
+    part = pd.DataFrame(rows)
+    want = _bucket_topk_partials(part, 10)
+    assert len(want)
+    for seed in range(8):
+        got = _bucket_topk_partials(part.sample(frac=1, random_state=seed), 10)
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
