@@ -50,8 +50,8 @@ def write_sorted(
     import ray
 
     from open_parse_ray.stages.dedup import salted_groupby
-    from open_parse_ray.stages.ranking import _boundaries, _composite, _fold
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.ranking import _boundaries, _composite
+    from open_parse_ray.stages.relational import two_phase_agg
 
     os.makedirs(out_dir, exist_ok=True)
     keyed = keyed.materialize()
@@ -74,12 +74,8 @@ def write_sorted(
             }
         )
 
-    hp = _combine_partials(
-        _fold(
-            keyed.map_batches(hist_partial, batch_format="pandas", batch_size=65536),
-            ["v"],
-            {"cnt": "sum", "max_id": "max"},
-        ),
+    hp = two_phase_agg(
+        keyed.map_batches(hist_partial, batch_format="pandas", batch_size=65536),
         ["v"],
         {"cnt": "sum", "max_id": "max"},
     ).to_pandas()

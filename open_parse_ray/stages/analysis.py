@@ -279,7 +279,7 @@ def read_documents(sf_dir: str, columns=None):
 def doc_stats_by_lang(sf_dir: str):
     """Per-language corpus stats: an Arrow per-block partial, then one
     combine over ~langs×blocks rows — never shuffles the full table."""
-    from open_parse_ray.stages.relational import _arrow_group_aggs, _combine_partials
+    from open_parse_ray.stages.relational import _arrow_group_aggs, two_phase_agg
 
     ds = read_documents(sf_dir, columns=["lang", "n_chars"])
 
@@ -297,7 +297,7 @@ def doc_stats_by_lang(sf_dir: str):
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    return _combine_partials(
+    return two_phase_agg(
         partials,
         ["lang"],
         {"n_docs": "sum", "total_chars": "sum", "min_chars": "min", "max_chars": "max"},
@@ -310,18 +310,19 @@ def source_lang_matrix(sf_dir: str):
     partial aggregation; bounded cardinality (sources × langs)."""
     import ray.data as rd
 
+    from open_parse_ray.stages.relational import _arrow_group_aggs, two_phase_agg
+
     ds = read_documents(sf_dir, columns=["source", "lang", "n_chars"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.assign(n=np.int64(1))
-        return b.groupby(["source", "lang"], as_index=False).agg(
-            n_docs=("n", "sum"), total_chars=("n_chars", "sum")
+    def partial(t: "pa.Table") -> "pa.Table":
+        return _arrow_group_aggs(
+            {"source": t.column("source"), "lang": t.column("lang")},
+            {"n_docs": ("count", None), "total_chars": ("sum", t.column("n_chars").to_numpy())},
+            t.num_rows,
         )
 
-    from open_parse_ray.stages.relational import _combine_partials
-
-    return _combine_partials(
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+    return two_phase_agg(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
         ["source", "lang"],
         {"n_docs": "sum", "total_chars": "sum"},
     )
@@ -432,6 +433,7 @@ def top_terms(sf_dir: str, k: int = 20):
     string ascending, same as the oracle. Returns (rank, term, n). Equal
     to its SQL oracle on the text named in :func:`term_counts`."""
     from open_parse_ray.stages.dedup import salted_groupby
+    from open_parse_ray.stages.relational import topk_rank
 
     ds = read_documents(sf_dir, columns=["text"])
 
@@ -445,17 +447,7 @@ def top_terms(sf_dir: str, k: int = 20):
         g = g.sort_values(["n", "term"], ascending=[False, True]).head(k)
         return g.astype({"n": "int64"})
 
-    per_part_top = salted_groupby(partials, "term", sum_and_topk)
-
-    def add_rank(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.sort_values(["n", "term"], ascending=[False, True]).head(k)
-        b = b.reset_index(drop=True)
-        b["rank"] = np.arange(1, len(b) + 1, dtype=np.int64)
-        return b[["rank", "term", "n"]]
-
-    return per_part_top.repartition(1).map_batches(
-        add_rank, batch_format="pandas", batch_size=None
-    )
+    return topk_rank(salted_groupby(partials, "term", sum_and_topk), "n", "term", k)
 
 
 def term_doc_freq(sf_dir: str):
@@ -756,13 +748,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 3):
             {"doc_id": "int64", "rank": "int64", "tf": "int64", "df": "int64"}
         )
 
-    return salted_groupby(
-        with_df,
-        lambda t: pd.util.hash_pandas_object(
-            t["doc_id"].to_pandas(), index=False
-        ).astype("int64"),
-        topk_per_doc,
-    )
+    return salted_groupby(with_df, "doc_id", topk_per_doc)
 
 def source_ngram_overlap(sf_dir: str, n: int = 3):
     """Cross-source corpus similarity: for every source pair, the exact
@@ -783,7 +769,7 @@ def source_ngram_overlap(sf_dir: str, n: int = 3):
     from itertools import combinations
 
     from open_parse_ray.stages.dedup import salted_groupby
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     ds = read_documents(sf_dir, columns=["source", "text"])
 
@@ -832,7 +818,6 @@ def source_ngram_overlap(sf_dir: str, n: int = 3):
         )
 
     partials = salted_groupby(rows, "ng", pair_partials)
-    combined = _combine_partials(partials, ["source_a", "source_b"], {"n": "sum"})
 
     def assemble(b: pd.DataFrame) -> pd.DataFrame:
         totals = dict(
@@ -850,8 +835,11 @@ def source_ngram_overlap(sf_dir: str, n: int = 3):
             }
         )
 
-    return combined.repartition(1).map_batches(
-        assemble, batch_format="pandas", batch_size=None
+    return two_phase_agg(
+        partials,
+        ["source_a", "source_b"],
+        {"n": "sum"},
+        finalize=assemble,
     )
 
 
@@ -910,13 +898,13 @@ def bm25_lite_topk(sf_dir: str, query_terms=DEFAULT_BM25_QUERY, k: int = 20):
 
     # df per query term: one row per (doc, term) → df is the row count.
     # Bounded by |query| → safe driver combine + re-broadcast.
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import topk_rank, two_phase_agg
 
     def df_partial(b: pd.DataFrame) -> pd.DataFrame:
         g = b.groupby("term", as_index=False).size()
         return g.rename(columns={"size": "df"}).astype({"df": "int64"})
 
-    df_tbl = _combine_partials(
+    df_tbl = two_phase_agg(
         tf.map_batches(df_partial, batch_format="pandas", batch_size=65536),
         ["term"],
         {"df": "sum"},
@@ -940,22 +928,7 @@ def bm25_lite_topk(sf_dir: str, query_terms=DEFAULT_BM25_QUERY, k: int = 20):
         g = part.groupby("doc_id", as_index=False).agg(score=("score", "sum"))
         return g.sort_values(["score", "doc_id"], ascending=[False, True]).head(k)
 
-    per_part = salted_groupby(scores, "doc_id", sum_and_topk)
-
-    def add_rank(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.sort_values(["score", "doc_id"], ascending=[False, True]).head(k)
-        b = b.reset_index(drop=True)
-        return pd.DataFrame(
-            {
-                "rank": np.arange(1, len(b) + 1, dtype=np.int64),
-                "doc_id": b["doc_id"].to_numpy(dtype=np.int64),
-                "score": b["score"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    return per_part.repartition(1).map_batches(
-        add_rank, batch_format="pandas", batch_size=None
-    )
+    return topk_rank(salted_groupby(scores, "doc_id", sum_and_topk), "score", "doc_id", k)
 
 
 def compression_ratios(sf_dir: str):
@@ -1031,7 +1004,7 @@ def dsir_weights(sf_dir: str, target_lang: str = "en"):
     target-slice-scores-higher sanity); floats → no SQL oracle."""
     import ray
 
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     ds = read_documents(sf_dir, columns=["doc_id", "text", "lang"])
 
@@ -1056,7 +1029,7 @@ def dsir_weights(sf_dir: str, target_lang: str = "en"):
         )
 
     counts = (
-        _combine_partials(
+        two_phase_agg(
             ds.map_batches(count_partial, batch_format="pandas", batch_size=8192),
             ["bucket"],
             {"n_corpus": "sum", "n_target": "sum"},
@@ -1150,8 +1123,7 @@ def heavy_hitter_terms(sf_dir: str, k: int = 30):
     verify pass)."""
     import ray
 
-    from open_parse_ray.stages.ranking import _fold
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     ds = read_documents(sf_dir, columns=["text"])
 
@@ -1207,16 +1179,6 @@ def heavy_hitter_terms(sf_dir: str, k: int = 30):
             }
         )
 
-    exact = _combine_partials(
-        _fold(
-            ds.map_batches(verify_partial, batch_format="pandas", batch_size=8192),
-            ["term"],
-            {"n": "sum"},
-        ),
-        ["term"],
-        {"n": "sum"},
-    )
-
     def finish(b: pd.DataFrame) -> pd.DataFrame:
         if len(b) == 0:
             return pd.DataFrame({"rank": [], "term": [], "n": []}).astype(
@@ -1233,7 +1195,12 @@ def heavy_hitter_terms(sf_dir: str, k: int = 30):
             }
         )
 
-    return exact.map_batches(finish, batch_format="pandas", batch_size=None)
+    return two_phase_agg(
+        ds.map_batches(verify_partial, batch_format="pandas", batch_size=8192),
+        ["term"],
+        {"n": "sum"},
+        finalize=finish,
+    )
 
 
 def lang_mix_rebalance(sf_dir: str):
@@ -1255,27 +1222,18 @@ def lang_mix_rebalance(sf_dir: str):
     import ray
 
     from open_parse_ray.stages.dedup import salted_groupby
-    from open_parse_ray.stages.ranking import _fold
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import _arrow_group_aggs, two_phase_agg
 
     ds = read_documents(sf_dir, columns=["doc_id", "lang"])
 
-    def count_partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby("lang", as_index=False).agg(c=("doc_id", "size"))
-        return g.astype({"c": "int64"})
+    def count_partial(t: "pa.Table") -> "pa.Table":
+        return _arrow_group_aggs({"lang": t.column("lang")}, {"c": ("count", None)}, t.num_rows)
 
-    counts = (
-        _combine_partials(
-            _fold(
-                ds.map_batches(count_partial, batch_format="pandas", batch_size=65536),
-                ["lang"],
-                {"c": "sum"},
-            ),
-            ["lang"],
-            {"c": "sum"},
-        )
-        .to_pandas()
-    )
+    counts = two_phase_agg(
+        ds.map_batches(count_partial, batch_format="pyarrow", batch_size=65536),
+        ["lang"],
+        {"c": "sum"},
+    ).to_pandas()
     total = int(counts["c"].sum())
     per_lang = total // len(counts)
     quota = {l: min(int(c), per_lang) for l, c in zip(counts["lang"], counts["c"])}
@@ -1384,7 +1342,7 @@ def ccnet_perplexity_buckets(sf_dir: str, ref_mod: int = 7):
     import ray
 
     from open_parse_ray.stages.quantiles import ordered_u64, quantile_values
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     ds = read_documents(sf_dir, columns=["doc_id", "text", "lang"])
 
@@ -1394,7 +1352,7 @@ def ccnet_perplexity_buckets(sf_dir: str, ref_mod: int = 7):
         return pd.DataFrame({"lang": b["lang"].unique(), "one": np.int64(1)})
 
     langs = sorted(
-        _combine_partials(
+        two_phase_agg(
             ds.map_batches(lang_partial, batch_format="pandas", batch_size=65536),
             ["lang"],
             {"one": "sum"},
@@ -1434,7 +1392,7 @@ def ccnet_perplexity_buckets(sf_dir: str, ref_mod: int = 7):
             )
         return pd.concat(frames, ignore_index=True)
 
-    counts = _combine_partials(
+    counts = two_phase_agg(
         ds.map_batches(count_partial, batch_format="pandas", batch_size=8192),
         ["lang", "bucket"],
         {"n": "sum"},
@@ -1577,7 +1535,7 @@ def doc_rollup_stats(sf_dir: str):
     integer re-sums, so all levels are exactly consistent with each
     other and the corpus is never re-scanned per level. 'ALL' is the
     rollup sentinel. Returns (source, lang, n_docs, total_chars)."""
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     ds = read_documents(sf_dir, columns=["source", "lang", "n_chars"])
 
@@ -1595,12 +1553,6 @@ def doc_rollup_stats(sf_dir: str):
             .agg(n_docs=("n_docs", "sum"), total_chars=("total_chars", "sum"))
         )
         return g.astype({"n_docs": "int64", "total_chars": "int64"})
-
-    fine = _combine_partials(
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
-        ["source", "lang"],
-        {"n_docs": "sum", "total_chars": "sum"},
-    )
 
     def rollup(f: pd.DataFrame) -> pd.DataFrame:
         aggs = {"n_docs": ("n_docs", "sum"), "total_chars": ("total_chars", "sum")}
@@ -1621,8 +1573,11 @@ def doc_rollup_stats(sf_dir: str):
             {"n_docs": "int64", "total_chars": "int64"}
         )
 
-    return fine.repartition(1).map_batches(
-        rollup, batch_format="pandas", batch_size=None
+    return two_phase_agg(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        ["source", "lang"],
+        {"n_docs": "sum", "total_chars": "sum"},
+        finalize=rollup,
     )
 
 

@@ -115,8 +115,7 @@ def learned_bpe_merges(sf_dir: str, n_merges: int = 24):
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.ranking import _fold
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     vocab = word_counts(sf_dir).materialize()
 
@@ -147,12 +146,8 @@ def learned_bpe_merges(sf_dir: str, n_merges: int = 24):
                 }
             )
 
-        pairs = _combine_partials(
-            _fold(
-                vocab.map_batches(pair_partial, batch_format="pandas", batch_size=8192),
-                ["left", "right"],
-                {"n": "sum"},
-            ),
+        pairs = two_phase_agg(
+            vocab.map_batches(pair_partial, batch_format="pandas", batch_size=8192),
             ["left", "right"],
             {"n": "sum"},
         ).to_pandas()

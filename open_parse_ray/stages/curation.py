@@ -136,10 +136,4 @@ def curate_from_keyed(keyed, k_tiers: int = 4, train_pct: int = 80, val_pct: int
             ["doc_id", "canonical_url", "n_tokens", "n_pii", "rank", "tier", "split"]
         ].astype({"doc_id": "int64", "n_tokens": "int64", "n_pii": "int64", "rank": "int64", "tier": "int64"})
 
-    return salted_groupby(
-        left.union(right),
-        lambda t: pd.util.hash_pandas_object(
-            t["doc_id"].to_pandas(), index=False
-        ).astype("int64"),
-        join,
-    )
+    return salted_groupby(left.union(right), "doc_id", join)

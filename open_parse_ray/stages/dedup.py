@@ -1553,19 +1553,23 @@ def ngram_jaccard_pairs(
     )
 
 
-def dup_span_flags(sf_dir: str, window: int = 16, stride: int = 8):
-    """Cross-document duplicated-SPAN detection — the exact-substring
-    dedup shape (Lee et al. 2022) at word granularity: every full
-    ``window``-word window at ``stride`` spacing is hashed; a window
-    position is duplicated when its gram occurs in ≥ 2 DISTINCT
-    documents. Returns (doc_id, n_windows, n_dup_windows) for docs with
-    ≥ window words — the boilerplate/contamination signal substring
-    dedup pipelines cut on.
+def _window_hashes(words, starts: np.ndarray, window: int) -> np.ndarray:
+    """uint64 hash of the ``window``-word gram at each of ``starts``: a
+    polynomial over the word hashes (``_SHINGLE_MIX`` multiplier)."""
+    wh = _hash_words(words)
+    acc = np.zeros(len(starts), dtype=np.uint64)
+    for j in range(window):
+        acc = acc * _SHINGLE_MIX + wh[starts + j]
+    return acc
 
-    Scale shape: the exchange carries (uint64 gram hash, doc_id) pairs —
-    ~n/stride rows per doc, the inherent cost of substring dedup — salted
-    on the hash; shared grams collapse to per-doc duplicate counts,
-    which re-shuffle on doc_id (tiny) to join the per-doc totals."""
+
+def _dup_span_plan(sf_dir: str, window: int, window_starts):
+    """The dup_span_flags family's plan, given where a doc's windows
+    start (``window_starts(words)`` → int array, called for docs of
+    >= ``window`` words): (gram hash, doc_id) rows salted on the hash →
+    per-doc counts of grams shared by >= 2 distinct docs → a tagged-union
+    salted doc_id join with the per-doc window totals. Returns
+    (doc_id, n_windows, n_dup_windows) for docs with >= window words."""
     import ray.data as rd
 
     docs = rd.read_parquet(
@@ -1576,18 +1580,11 @@ def dup_span_flags(sf_dir: str, window: int = 16, stride: int = 8):
         out_h, out_d = [], []
         for doc_id, t in zip(b["doc_id"], b["text"]):
             words = t.split()
-            n = len(words)
-            if n < window:
+            if len(words) < window:
                 continue
-            wh = _hash_words(words)
-            count = 1 + (n - window) // stride
-            # hash of each full window: polynomial over its word hashes
-            acc = np.zeros(count, dtype=np.uint64)
-            starts = np.arange(count) * stride
-            for j in range(window):
-                acc = acc * _SHINGLE_MIX + wh[starts + j]
-            out_h.extend(acc.view(np.int64).tolist())
-            out_d.extend([int(doc_id)] * count)
+            starts = window_starts(words)
+            out_h.extend(_window_hashes(words, starts, window).view(np.int64).tolist())
+            out_d.extend([int(doc_id)] * len(starts))
         return pd.DataFrame(
             {
                 "h": pd.Series(out_h, dtype="int64"),
@@ -1596,13 +1593,13 @@ def dup_span_flags(sf_dir: str, window: int = 16, stride: int = 8):
         )
 
     def total_rows(b: pd.DataFrame) -> pd.DataFrame:
-        # totals need only token counts — no hashing pass
+        # totals need only the window starts — no hashing pass
         ids, totals = [], []
         for doc_id, t in zip(b["doc_id"], b["text"]):
-            n = len(t.split())
-            if n >= window:
+            words = t.split()
+            if len(words) >= window:
                 ids.append(int(doc_id))
-                totals.append(1 + (n - window) // stride)
+                totals.append(len(window_starts(words)))
         return pd.DataFrame(
             {
                 "doc_id": pd.Series(ids, dtype="int64"),
@@ -1661,6 +1658,24 @@ def dup_span_flags(sf_dir: str, window: int = 16, stride: int = 8):
     return salted_groupby(both, "doc_id", join)
 
 
+def dup_span_flags(sf_dir: str, window: int = 16, stride: int = 8):
+    """Cross-document duplicated-SPAN detection — the exact-substring
+    dedup shape (Lee et al. 2022) at word granularity: every full
+    ``window``-word window at ``stride`` spacing is hashed; a window
+    position is duplicated when its gram occurs in ≥ 2 DISTINCT
+    documents. Returns (doc_id, n_windows, n_dup_windows) for docs with
+    ≥ window words — the boilerplate/contamination signal substring
+    dedup pipelines cut on.
+
+    Scale shape: the exchange carries (uint64 gram hash, doc_id) pairs —
+    ~n/stride rows per doc, the inherent cost of substring dedup — salted
+    on the hash; shared grams collapse to per-doc duplicate counts,
+    which re-shuffle on doc_id (tiny) to join the per-doc totals."""
+    return _dup_span_plan(
+        sf_dir, window, lambda words: np.arange(1 + (len(words) - window) // stride) * stride
+    )
+
+
 # content-defined anchor predicate: first hex char of md5(word) in
 # {'0','1'} — probability 2/16 = 1/8, so the expected window density
 # matches stride-8 exactly. Cached per distinct word (boilerplate
@@ -1708,97 +1723,11 @@ def dup_span_flags_cdc(sf_dir: str, window: int = 16):
     (uint64 gram hash, doc_id) pairs (~n/8 per doc in expectation),
     salted on the hash; shared grams collapse to per-doc duplicate
     counts, which re-shuffle on doc_id to join the per-doc totals."""
-    import ray.data as rd
-
-    docs = rd.read_parquet(
-        table_path(sf_dir, "documents"), columns=["doc_id", "text"]
+    return _dup_span_plan(
+        sf_dir,
+        window,
+        lambda words: np.flatnonzero(_anchor_mask(words)[: len(words) - window + 1]),
     )
-
-    def window_rows(b: pd.DataFrame) -> pd.DataFrame:
-        out_h, out_d = [], []
-        for doc_id, t in zip(b["doc_id"], b["text"]):
-            words = t.split()
-            n = len(words)
-            if n < window:
-                continue
-            anchors = np.flatnonzero(_anchor_mask(words)[: n - window + 1])
-            if len(anchors) == 0:
-                continue
-            wh = _hash_words(words)
-            acc = np.zeros(len(anchors), dtype=np.uint64)
-            for j in range(window):
-                acc = acc * _SHINGLE_MIX + wh[anchors + j]
-            out_h.extend(acc.view(np.int64).tolist())
-            out_d.extend([int(doc_id)] * len(anchors))
-        return pd.DataFrame(
-            {
-                "h": pd.Series(out_h, dtype="int64"),
-                "doc_id": pd.Series(out_d, dtype="int64"),
-            }
-        )
-
-    def total_rows(b: pd.DataFrame) -> pd.DataFrame:
-        ids, totals = [], []
-        for doc_id, t in zip(b["doc_id"], b["text"]):
-            words = t.split()
-            n = len(words)
-            if n >= window:
-                ids.append(int(doc_id))
-                totals.append(
-                    int(_anchor_mask(words)[: n - window + 1].sum())
-                )
-        return pd.DataFrame(
-            {
-                "doc_id": pd.Series(ids, dtype="int64"),
-                "n_windows": pd.Series(totals, dtype="int64"),
-            }
-        )
-
-    wrows = docs.map_batches(window_rows, batch_format="pandas", batch_size=4096)
-
-    def dup_counts(part: pd.DataFrame) -> pd.DataFrame:
-        nd = part.groupby("h")["doc_id"].transform("nunique")
-        dup = part[nd >= 2]
-        out = dup.groupby("doc_id", as_index=False).agg(n_dup=("h", "size"))
-        return out.astype({"doc_id": "int64", "n_dup": "int64"})
-
-    dups = salted_groupby(wrows, "h", dup_counts)
-    totals = docs.map_batches(total_rows, batch_format="pandas", batch_size=4096)
-
-    def tag_tot(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": b["doc_id"].astype("int64"),
-                "n_windows": b["n_windows"].astype("int64"),
-                "n_dup": np.int64(-1),
-            }
-        )
-
-    def tag_dup(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": b["doc_id"].astype("int64"),
-                "n_windows": np.int64(-1),
-                "n_dup": b["n_dup"].astype("int64"),
-            }
-        )
-
-    both = totals.map_batches(tag_tot, batch_format="pandas").union(
-        dups.map_batches(tag_dup, batch_format="pandas")
-    )
-
-    def join(part: pd.DataFrame) -> pd.DataFrame:
-        tot = part[part["n_windows"] >= 0][["doc_id", "n_windows"]]
-        dup = (
-            part[part["n_dup"] >= 0]
-            .groupby("doc_id", as_index=False)["n_dup"]
-            .sum()
-        )
-        out = tot.merge(dup, on="doc_id", how="left")
-        out["n_dup_windows"] = out["n_dup"].fillna(0).astype("int64")
-        return out[["doc_id", "n_windows", "n_dup_windows"]]
-
-    return salted_groupby(both, "doc_id", join)
 
 
 DUP_SPAN_FLAGS_CDC_SQL = r"""
@@ -2456,14 +2385,9 @@ def dup_span_excise(sf_dir: str, window: int = 16, stride: int = 8):
             n = len(words)
             if n < window:
                 continue
-            wh = _hash_words(words)
-            count = 1 + (n - window) // stride
-            acc = np.zeros(count, dtype=np.uint64)
-            starts = np.arange(count) * stride
-            for j in range(window):
-                acc = acc * _SHINGLE_MIX + wh[starts + j]
-            out_h.extend(acc.view(np.int64).tolist())
-            out_d.extend([int(doc_id)] * count)
+            starts = np.arange(1 + (n - window) // stride) * stride
+            out_h.extend(_window_hashes(words, starts, window).view(np.int64).tolist())
+            out_d.extend([int(doc_id)] * len(starts))
             out_p.extend(starts.tolist())
         return pd.DataFrame(
             {
@@ -2633,9 +2557,9 @@ def jaccard_selfjoin(
         u, c = np.unique(hs, return_counts=True)
         return pd.DataFrame({"th": u, "n": c.astype(np.int64)})
 
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
-    hist = _combine_partials(
+    hist = two_phase_agg(
         sets.map_batches(df_partial, batch_format="pandas", batch_size=8192),
         ["th"],
         {"n": "sum"},

@@ -92,8 +92,7 @@ def pagerank(
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.ranking import _fold
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     edges = edges.materialize()
     n_edges = edges.count()
@@ -121,9 +120,7 @@ def pagerank(
         return pd.DataFrame({"node": nz.astype(np.int64), "s": acc[nz]})
 
     def _collect_vec(partials) -> np.ndarray:
-        got = _combine_partials(
-            _fold(partials, ["node"], {"s": "sum"}), ["node"], {"s": "sum"}
-        ).to_pandas()
+        got = two_phase_agg(partials, ["node"], {"s": "sum"}).to_pandas()
         vec = np.zeros(n_nodes, dtype=np.int64)
         vec[got["node"].to_numpy(dtype=np.int64)] = got["s"].to_numpy(dtype=np.int64)
         return vec
@@ -200,7 +197,7 @@ def transition_edges(sf_dir: str):
     import ray.data as rd
 
     from open_parse_ray.stages.dedup import salted_groupby
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     ds = rd.read_parquet(
         table_path(sf_dir, "events"),
@@ -217,7 +214,7 @@ def transition_edges(sf_dir: str):
         return out.rename(columns={"size": "w"}).astype({"w": "int64"})
 
     partials = salted_groupby(ds, "user_id", pairs)
-    return _combine_partials(partials, ["src_t", "dst_t"], {"w": "sum"})
+    return two_phase_agg(partials, ["src_t", "dst_t"], {"w": "sum"})
 
 
 def events_type_pagerank(sf_dir: str, n_iter: int = 20, **kw):
@@ -230,7 +227,7 @@ def events_type_pagerank(sf_dir: str, n_iter: int = 20, **kw):
     20-iteration DuckDB oracle."""
     import ray.data as rd
 
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     edges_t = transition_edges(sf_dir).materialize()
 
@@ -241,7 +238,7 @@ def events_type_pagerank(sf_dir: str, n_iter: int = 20, **kw):
         return pd.DataFrame({"event_type": b["event_type"].unique(), "one": np.int64(1)})
 
     types = sorted(
-        _combine_partials(
+        two_phase_agg(
             ds.map_batches(type_partial, batch_format="pandas", batch_size=65536),
             ["event_type"],
             {"one": "sum"},
@@ -353,12 +350,12 @@ def pagerank_partitioned(
     edge-sized data × n_iter — the unavoidable Pregel price when the
     node table exceeds worker memory; prefer :func:`pagerank`'s
     broadcast path whenever it fits (10^8-host graphs)."""
+    import pyarrow as pa
     import ray
     import ray.data as rd
 
     from open_parse_ray.stages.dedup import salted_groupby
-    from open_parse_ray.stages.ranking import _fold
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     edges = edges.materialize()
 
@@ -370,16 +367,17 @@ def pagerank_partitioned(
             {"node": g["src"].astype("int64"), "wout": g["wout"].astype("int64")}
         )
 
-    wout_tbl = _combine_partials(
+    wout_tbl = two_phase_agg(
         edges.map_batches(wout_partial, batch_format="pandas", batch_size=65536),
         ["node"],
         {"wout": "sum"},
     )
+    # Arrow blocks, like the combine's: one batch may span both sides
     all_nodes = rd.range(n_nodes).map_batches(
-        lambda b: pd.DataFrame(
-            {"node": b["id"].astype("int64"), "wout": np.int64(0)}
+        lambda t: pa.table(
+            {"node": t["id"].cast(pa.int64()), "wout": np.zeros(t.num_rows, np.int64)}
         ),
-        batch_format="pandas",
+        batch_format="pyarrow",
         batch_size=65536,
     )
 
@@ -417,9 +415,8 @@ def pagerank_partitioned(
                                dtype=np.int64)}
             )
 
-        got = _combine_partials(
-            _fold(r.map_batches(part, batch_format="pandas", batch_size=65536),
-                  ["k"], {"s": "sum"}),
+        got = two_phase_agg(
+            r.map_batches(part, batch_format="pandas", batch_size=65536),
             ["k"],
             {"s": "sum"},
         ).to_pandas()
@@ -643,8 +640,7 @@ def triangle_counts(
     import ray.data as rd
 
     from open_parse_ray.stages.dedup import salted_groupby
-    from open_parse_ray.stages.ranking import _fold
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     if n_nodes >= _OKEY_BASE:
         raise ValueError("node id space exceeds orientation-key base")
@@ -658,12 +654,8 @@ def triangle_counts(
         nz = np.nonzero(acc)[0]
         return pd.DataFrame({"node": nz.astype(np.int64), "s": acc[nz]})
 
-    got = _combine_partials(
-        _fold(
-            edges.map_batches(deg_partial, batch_format="pandas", batch_size=65536),
-            ["node"],
-            {"s": "sum"},
-        ),
+    got = two_phase_agg(
+        edges.map_batches(deg_partial, batch_format="pandas", batch_size=65536),
         ["node"],
         {"s": "sum"},
     ).to_pandas()
@@ -900,8 +892,7 @@ def copurchase_lift_pairs(
 
     from open_parse_ray.sources.tables import table_path
     from open_parse_ray.stages.dedup import salted_groupby
-    from open_parse_ray.stages.ranking import _fold
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     ds = rd.read_parquet(
         table_path(sf_dir, "lineitem"), columns=["l_orderkey", "l_partkey"]
@@ -957,7 +948,7 @@ def copurchase_lift_pairs(
     pair_partials = tagged.map_batches(
         take_pairs, batch_format="pandas", batch_size=65536
     )
-    freq = _combine_partials(
+    freq = two_phase_agg(
         tagged.map_batches(take_freq, batch_format="pandas", batch_size=65536),
         ["part"],
         {"c": "sum"},
@@ -1024,8 +1015,7 @@ def copurchase_distances(sf_dir: str, max_hops: int = 4, num_parts: Optional[int
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.ranking import _fold
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     import pyarrow.parquet as pq
 
@@ -1045,12 +1035,8 @@ def copurchase_distances(sf_dir: str, max_hops: int = 4, num_parts: Optional[int
         nz = np.nonzero(acc)[0]
         return pd.DataFrame({"node": nz.astype(np.int64), "s": acc[nz]})
 
-    got = _combine_partials(
-        _fold(
-            edges.map_batches(deg_partial, batch_format="pandas", batch_size=65536),
-            ["node"],
-            {"s": "sum"},
-        ),
+    got = two_phase_agg(
+        edges.map_batches(deg_partial, batch_format="pandas", batch_size=65536),
         ["node"],
         {"s": "sum"},
     ).to_pandas()
@@ -1076,13 +1062,9 @@ def copurchase_distances(sf_dir: str, max_hops: int = 4, num_parts: Optional[int
             nz = np.nonzero(hit)[0]
             return pd.DataFrame({"node": nz.astype(np.int64), "s": hit[nz]})
 
-        reached = _combine_partials(
-            _fold(
-                edges.map_batches(
-                    reach_partial, batch_format="pandas", batch_size=65536
-                ),
-                ["node"],
-                {"s": "sum"},
+        reached = two_phase_agg(
+            edges.map_batches(
+                reach_partial, batch_format="pandas", batch_size=65536
             ),
             ["node"],
             {"s": "sum"},
@@ -1387,8 +1369,7 @@ def copurchase_cheapest_paths(sf_dir: str, n_rounds: int = 4, num_parts: Optiona
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.ranking import _fold
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
     from open_parse_ray.stages.dedup import salted_groupby
 
     import pyarrow.parquet as pq
@@ -1464,7 +1445,7 @@ def copurchase_cheapest_paths(sf_dir: str, n_rounds: int = 4, num_parts: Optiona
         return pd.DataFrame({"node": nz.astype(np.int64), "s": cand[nz]})
 
     # source = smallest node with an edge (exact: min over edge endpoints)
-    src_df = _combine_partials(
+    src_df = two_phase_agg(
         edges.map_batches(
             lambda b: pd.DataFrame({"m": [np.int64(min(b["u"].min(), b["v"].min()))]})
             if len(b)
@@ -1484,16 +1465,12 @@ def copurchase_cheapest_paths(sf_dir: str, n_rounds: int = 4, num_parts: Optiona
 
     for _ in range(n_rounds):
         dist_ref = ray.put(dist)
-        got = _combine_partials(
-            _fold(
-                edges.map_batches(
-                    min_partial,
-                    fn_kwargs={"dist_ref": dist_ref},
-                    batch_format="pandas",
-                    batch_size=65536,
-                ),
-                ["node"],
-                {"s": "min"},
+        got = two_phase_agg(
+            edges.map_batches(
+                min_partial,
+                fn_kwargs={"dist_ref": dist_ref},
+                batch_format="pandas",
+                batch_size=65536,
             ),
             ["node"],
             {"s": "min"},
@@ -1529,8 +1506,7 @@ def copurchase_kcore(sf_dir: str, k: int = 68, rounds: int = 8, num_parts: Optio
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from open_parse_ray.stages.ranking import _fold
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     maxp = pq.read_table(table_path(sf_dir, "part"), columns=["p_partkey"])[
         "p_partkey"
@@ -1555,13 +1531,9 @@ def copurchase_kcore(sf_dir: str, k: int = 68, rounds: int = 8, num_parts: Optio
             nz = np.nonzero(acc)[0]
             return pd.DataFrame({"node": nz.astype(np.int64), "s": acc[nz]})
 
-        got = _combine_partials(
-            _fold(
-                edges.map_batches(
-                    deg_partial, batch_format="pandas", batch_size=65536
-                ),
-                ["node"],
-                {"s": "sum"},
+        got = two_phase_agg(
+            edges.map_batches(
+                deg_partial, batch_format="pandas", batch_size=65536
             ),
             ["node"],
             {"s": "sum"},
@@ -1584,13 +1556,9 @@ def copurchase_kcore(sf_dir: str, k: int = 68, rounds: int = 8, num_parts: Optio
     # one filter behind — recount once for the reported in-core degree
     if not converged:
         a_ref = ray.put(alive)
-        got = _combine_partials(
-            _fold(
-                edges.map_batches(
-                    deg_partial, batch_format="pandas", batch_size=65536
-                ),
-                ["node"],
-                {"s": "sum"},
+        got = two_phase_agg(
+            edges.map_batches(
+                deg_partial, batch_format="pandas", batch_size=65536
             ),
             ["node"],
             {"s": "sum"},
@@ -1684,8 +1652,7 @@ def copurchase_components(
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.ranking import _fold
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -1706,12 +1673,8 @@ def copurchase_components(
         nz = np.nonzero(hit)[0]
         return pd.DataFrame({"node": nz.astype(np.int64), "s": hit[nz]})
 
-    got = _combine_partials(
-        _fold(
-            edges.map_batches(touch_partial, batch_format="pandas", batch_size=65536),
-            ["node"],
-            {"s": "sum"},
-        ),
+    got = two_phase_agg(
+        edges.map_batches(touch_partial, batch_format="pandas", batch_size=65536),
         ["node"],
         {"s": "sum"},
     ).to_pandas()
@@ -1736,13 +1699,9 @@ def copurchase_components(
                 {"node": better.astype(np.int64), "s": cand[better]}
             )
 
-        upd = _combine_partials(
-            _fold(
-                edges.map_batches(
-                    min_partial, batch_format="pandas", batch_size=65536
-                ),
-                ["node"],
-                {"s": "min"},
+        upd = two_phase_agg(
+            edges.map_batches(
+                min_partial, batch_format="pandas", batch_size=65536
             ),
             ["node"],
             {"s": "min"},
@@ -1818,8 +1777,7 @@ def hits(
     import ray
     import ray.data as rd
 
-    from open_parse_ray.stages.ranking import _fold
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     edges = edges.materialize()
     n_edges = edges.count()
@@ -1844,9 +1802,7 @@ def hits(
         )
 
     def _collect_vec(partials) -> np.ndarray:
-        got = _combine_partials(
-            _fold(partials, ["node"], {"s": "sum"}), ["node"], {"s": "sum"}
-        ).to_pandas()
+        got = two_phase_agg(partials, ["node"], {"s": "sum"}).to_pandas()
         vec = np.zeros(n_nodes, dtype=np.int64)
         vec[got["node"].to_numpy(dtype=np.int64)] = got["s"].to_numpy(dtype=np.int64)
         return vec
@@ -1893,7 +1849,7 @@ def events_type_hits(sf_dir: str, n_iter: int = 10, **kw):
     oracle."""
     import ray.data as rd
 
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     edges_t = transition_edges(sf_dir).materialize()
 
@@ -1903,7 +1859,7 @@ def events_type_hits(sf_dir: str, n_iter: int = 10, **kw):
         return pd.DataFrame({"event_type": b["event_type"].unique(), "one": np.int64(1)})
 
     types = sorted(
-        _combine_partials(
+        two_phase_agg(
             ds.map_batches(type_partial, batch_format="pandas", batch_size=65536),
             ["event_type"],
             {"one": "sum"},

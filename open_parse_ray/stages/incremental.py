@@ -87,13 +87,7 @@ def snapshot_diff(sf_dir: str):
             {"doc_id": m["doc_id"].astype("int64"), "status": status}
         )[keep]
 
-    return salted_groupby(
-        tagged,
-        lambda t: pd.util.hash_pandas_object(
-            t["doc_id"].to_pandas(), index=False
-        ).astype("int64"),
-        diff,
-    )
+    return salted_groupby(tagged, "doc_id", diff)
 
 
 def _changelog_rows(b: pd.DataFrame) -> pd.DataFrame:
@@ -166,13 +160,7 @@ def apply_changelog(sf_dir: str):
             {"doc_id": keep["doc_id"].astype("int64"), "fp": keep["fp"]}
         )
 
-    return salted_groupby(
-        tagged,
-        lambda t: pd.util.hash_pandas_object(
-            t["doc_id"].to_pandas(), index=False
-        ).astype("int64"),
-        merge,
-    )
+    return salted_groupby(tagged, "doc_id", merge)
 
 
 def scd2_history(sf_dir: str):
@@ -228,13 +216,7 @@ def scd2_history(sf_dir: str):
             }
         )
 
-    return salted_groupby(
-        tagged,
-        lambda t: pd.util.hash_pandas_object(
-            t["doc_id"].to_pandas(), index=False
-        ).astype("int64"),
-        intervals,
-    )
+    return salted_groupby(tagged, "doc_id", intervals)
 
 
 def corpus_merkle(sf_dir: str, fanout: int = 64):
@@ -283,13 +265,7 @@ def corpus_merkle(sf_dir: str, fanout: int = 64):
             }
         )
 
-    level0 = salted_groupby(
-        fps,
-        lambda t: pd.util.hash_pandas_object(
-            t["bucket"].to_pandas(), index=False
-        ).astype("int64"),
-        l0,
-    ).materialize()
+    level0 = salted_groupby(fps, "bucket", l0).materialize()
 
     def up(level):
         def f(part: pd.DataFrame) -> pd.DataFrame:
@@ -314,9 +290,7 @@ def corpus_merkle(sf_dir: str, fanout: int = 64):
 
     level1 = salted_groupby(
         level0.map_batches(add_parent, batch_format="pandas", batch_size=65536),
-        lambda t: pd.util.hash_pandas_object(
-            t["parent"].to_pandas(), index=False
-        ).astype("int64"),
+        "parent",
         up(1),
     ).materialize()
 
@@ -377,7 +351,7 @@ def stats_after_changelog(sf_dir: str):
     SQL-oracle-checked against the merged-corpus aggregate. Returns
     (lang, n_docs, total_chars)."""
     from open_parse_ray.stages.analysis import read_documents
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         ids = b["doc_id"].to_numpy(dtype=np.int64)
@@ -405,7 +379,6 @@ def stats_after_changelog(sf_dir: str):
     partials = read_documents(
         sf_dir, columns=["doc_id", "text", "lang"]
     ).map_batches(partial, batch_format="pandas", batch_size=8192)
-    out = _combine_partials(partials, ["lang"], {"dn": "sum", "dc": "sum"})
 
     def rename(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -416,4 +389,9 @@ def stats_after_changelog(sf_dir: str):
             }
         )
 
-    return out.map_batches(rename, batch_format="pandas", batch_size=None)
+    return two_phase_agg(
+        partials,
+        ["lang"],
+        {"dn": "sum", "dc": "sum"},
+        finalize=rename,
+    )

@@ -38,7 +38,7 @@ def scan_pack(tok, seq_len: int, bucket_size: int, order_cols=("key",)):
     import ray
 
     from open_parse_ray.stages.dedup import salted_groupby
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import _arrow_group_aggs, two_phase_agg
 
     def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
         b = b.copy()
@@ -47,15 +47,15 @@ def scan_pack(tok, seq_len: int, bucket_size: int, order_cols=("key",)):
 
     tok = tok.map_batches(add_bucket, batch_format="pandas", batch_size=8192)
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby("bucket", as_index=False).agg(s=("n_tokens", "sum"))
+    def partial(t: "pa.Table") -> "pa.Table":
+        return _arrow_group_aggs(
+            {"bucket": t.column("bucket")},
+            {"s": ("sum", t.column("n_tokens").to_numpy())},
+            t.num_rows,
+        )
 
-    bucket_sums = _combine_partials(
-        tok.map_batches(
-            lambda b: partial(b[["bucket", "n_tokens"]]),
-            batch_format="pandas",
-            batch_size=8192,
-        ),
+    bucket_sums = two_phase_agg(
+        tok.map_batches(partial, batch_format="pyarrow", batch_size=8192),
         ["bucket"],
         {"s": "sum"},
     ).to_pandas()

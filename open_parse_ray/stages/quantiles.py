@@ -79,8 +79,7 @@ def _hist_pass(keyed, states: List[Tuple[int, int, int, int]], shift: int) -> pd
     Returns the combined (sid, bucket, cnt) frame."""
     import ray
 
-    from open_parse_ray.stages.ranking import _fold
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     states_ref = ray.put(states)
 
@@ -125,11 +124,7 @@ def _hist_pass(keyed, states: List[Tuple[int, int, int, int]], shift: int) -> pd
         )
 
     partials = keyed.map_batches(partial, batch_format="pandas", batch_size=65536)
-    return _combine_partials(
-        _fold(partials, ["sid", "bucket"], {"cnt": "sum"}),
-        ["sid", "bucket"],
-        {"cnt": "sum"},
-    ).to_pandas()
+    return two_phase_agg(partials, ["sid", "bucket"], {"cnt": "sum"}).to_pandas()
 
 
 def _walk(hist: pd.DataFrame, residual: int) -> Tuple[int, int]:
@@ -157,27 +152,26 @@ def quantile_values(keyed, percents: Sequence[int]) -> pd.DataFrame:
 
     # pass 0: per-gid top-16-bit histograms (one state per gid, sid=gid;
     # gids discovered from the histogram itself — no separate pass)
-    def seed_partial(b: pd.DataFrame) -> pd.DataFrame:
-        key = b["key"].to_numpy(dtype=np.uint64)
-        gid = b["gid"].to_numpy(dtype=np.int64)
+    from open_parse_ray.stages.relational import _arrow_group_aggs, two_phase_agg
+
+    def seed_partial(t: "pa.Table") -> "pa.Table":
+        key = t.column("key").to_numpy().astype(np.uint64)
         wt = (
-            b["wt"].to_numpy(dtype=np.int64)
-            if "wt" in b.columns
-            else np.ones(len(b), dtype=np.int64)
+            t.column("wt").to_numpy().astype(np.int64)
+            if "wt" in t.column_names
+            else np.ones(t.num_rows, dtype=np.int64)
         )
-        bk = ((key >> np.uint64(48)) & _MASK16).astype(np.int64)
-        df = pd.DataFrame({"sid": gid, "bucket": bk, "cnt": wt})
-        return df.groupby(["sid", "bucket"], as_index=False).agg(cnt=("cnt", "sum"))
+        return _arrow_group_aggs(
+            {
+                "sid": t.column("gid").to_numpy().astype(np.int64),
+                "bucket": ((key >> np.uint64(48)) & _MASK16).astype(np.int64),
+            },
+            {"cnt": ("sum", wt)},
+            t.num_rows,
+        )
 
-    from open_parse_ray.stages.ranking import _fold
-    from open_parse_ray.stages.relational import _combine_partials
-
-    h0 = _combine_partials(
-        _fold(
-            keyed.map_batches(seed_partial, batch_format="pandas", batch_size=65536),
-            ["sid", "bucket"],
-            {"cnt": "sum"},
-        ),
+    h0 = two_phase_agg(
+        keyed.map_batches(seed_partial, batch_format="pyarrow", batch_size=65536),
         ["sid", "bucket"],
         {"cnt": "sum"},
     ).to_pandas()
@@ -246,7 +240,7 @@ def ratio_quantiles_by_lang(sf_dir: str, percents: Sequence[int] = (25, 50, 75, 
         n_tokens_sql_semantics,
         read_documents,
     )
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     ds = read_documents(sf_dir, columns=["lang", "text", "n_chars"])
 
@@ -255,7 +249,7 @@ def ratio_quantiles_by_lang(sf_dir: str, percents: Sequence[int] = (25, 50, 75, 
         return pd.DataFrame({"lang": b["lang"].unique(), "one": np.int64(1)})
 
     langs = sorted(
-        _combine_partials(
+        two_phase_agg(
             ds.map_batches(lang_partial, batch_format="pandas", batch_size=65536),
             ["lang"],
             {"one": "sum"},
@@ -305,7 +299,7 @@ def token_weighted_ratio_quantiles(sf_dir: str, percents: Sequence[int] = (25, 5
         n_tokens_sql_semantics,
         read_documents,
     )
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     ds = read_documents(sf_dir, columns=["lang", "text", "n_chars"])
 
@@ -313,7 +307,7 @@ def token_weighted_ratio_quantiles(sf_dir: str, percents: Sequence[int] = (25, 5
         return pd.DataFrame({"lang": b["lang"].unique(), "one": np.int64(1)})
 
     langs = sorted(
-        _combine_partials(
+        two_phase_agg(
             ds.map_batches(lang_partial, batch_format="pandas", batch_size=65536),
             ["lang"],
             {"one": "sum"},
@@ -366,7 +360,7 @@ def order_value_quantiles_by_segment(
 
     from open_parse_ray.sources.tables import table_path
     from open_parse_ray.stages.dedup import salted_groupby
-    from open_parse_ray.stages.relational import _cents, _combine_partials
+    from open_parse_ray.stages.relational import _cents, two_phase_agg
 
     cust = rd.read_parquet(
         table_path(sf_dir, "customer"), columns=["c_custkey", "c_mktsegment"]
@@ -376,7 +370,7 @@ def order_value_quantiles_by_segment(
         return pd.DataFrame({"seg": b["c_mktsegment"].unique(), "one": np.int64(1)})
 
     segs = sorted(
-        _combine_partials(
+        two_phase_agg(
             cust.map_batches(seg_partial, batch_format="pandas", batch_size=65536),
             ["seg"],
             {"one": "sum"},

@@ -45,22 +45,6 @@ _ID_BITS = 40  # composite key = (value << 40) | id ; requires id < 2^40
 _ID_MASK = (1 << _ID_BITS) - 1
 
 
-
-def _fold(partials, keys, aggs):
-    """Intermediate tree-reduce level before relational._combine_partials:
-    re-groups ~64k partial rows per batch down to ≤|distinct keys|, so
-    the final single-block combine sees a bounded stream at any corpus
-    size (chain for more levels). Exact: integer sums/max are
-    order-independent."""
-
-    def g(b: pd.DataFrame) -> pd.DataFrame:
-        if len(b) == 0:
-            return b
-        return b.groupby(keys, as_index=False).agg(**{c: (c, how) for c, how in aggs.items()})
-
-    return partials.map_batches(g, batch_format="pandas", batch_size=65536)
-
-
 def ntile_of_rank(rank: np.ndarray, n_rows: int, k: int) -> np.ndarray:
     """SQL ntile(k) over 1-based ranks: the first n_rows % k tiles get
     floor(n/k)+1 rows, the rest floor(n/k)."""
@@ -149,14 +133,10 @@ def global_rank(keyed, k: int = 4, num_parts: Optional[int] = None):
             }
         )
 
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
-    hp = _combine_partials(
-        _fold(
-            keyed.map_batches(hist_partial, batch_format="pandas", batch_size=65536),
-            ["v"],
-            {"cnt": "sum", "max_id": "max"},
-        ),
+    hp = two_phase_agg(
+        keyed.map_batches(hist_partial, batch_format="pandas", batch_size=65536),
         ["v"],
         {"cnt": "sum", "max_id": "max"},
     ).to_pandas()
@@ -210,7 +190,7 @@ def global_rank(keyed, k: int = 4, num_parts: Optional[int] = None):
         )
 
     counts = (
-        _combine_partials(
+        two_phase_agg(
             ranked.map_batches(count_partial, batch_format="pandas", batch_size=65536),
             ["pid"],
             {"n": "sum"},
@@ -281,7 +261,7 @@ def grouped_rank_events(sf_dir: str):
     def type_partial(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"event_type": b["event_type"].unique()})
 
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     def _one(b: pd.DataFrame) -> pd.DataFrame:
         b = b.copy()
@@ -289,7 +269,7 @@ def grouped_rank_events(sf_dir: str):
         return b
 
     types = sorted(
-        _combine_partials(
+        two_phase_agg(
             ds.map_batches(type_partial, batch_format="pandas", batch_size=65536)
             .map_batches(_one, batch_format="pandas", batch_size=65536),
             ["event_type"],
@@ -324,12 +304,8 @@ def grouped_rank_events(sf_dir: str):
         return pd.DataFrame({"gid": u, "n": c.astype(np.int64)})
 
     gc = (
-        _combine_partials(
-            _fold(
-                keyed.map_batches(gid_counts, batch_format="pandas", batch_size=65536),
-                ["gid"],
-                {"n": "sum"},
-            ),
+        two_phase_agg(
+            keyed.map_batches(gid_counts, batch_format="pandas", batch_size=65536),
             ["gid"],
             {"n": "sum"},
         )
@@ -379,7 +355,7 @@ def epoch_shuffle(sf_dir: str, epoch: int = 1, num_parts: int = 64):
 
     from open_parse_ray.stages.analysis import read_documents
     from open_parse_ray.stages.dedup import salted_groupby
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     ds = read_documents(sf_dir, columns=["doc_id"])
 
@@ -419,12 +395,8 @@ def epoch_shuffle(sf_dir: str, epoch: int = 1, num_parts: int = 64):
         )
 
     counts = (
-        _combine_partials(
-            _fold(
-                ranked.map_batches(count_partial, batch_format="pandas", batch_size=65536),
-                ["pid"],
-                {"n": "sum"},
-            ),
+        two_phase_agg(
+            ranked.map_batches(count_partial, batch_format="pandas", batch_size=65536),
             ["pid"],
             {"n": "sum"},
         )

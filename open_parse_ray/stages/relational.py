@@ -26,9 +26,13 @@ def _cents(x: pd.Series) -> pd.Series:
 
 
 def _dict_codes(arr):
-    """Any key array → (int64 codes, dictionary values). DictionaryArray
-    passes through; everything else is dictionary-encoded by Arrow's C
-    kernel (no pandas factorize, no Python loop)."""
+    """Any key array → (int64 codes, sorted distinct values), each code
+    being the RANK of its value, so ordering by code orders by value —
+    pandas ``groupby(sort=True)`` order: numbers numerically, strings by
+    code point, bytes bytewise. Values are dictionary-encoded by Arrow's
+    C kernel (no pandas factorize, no Python loop); a dictionary-typed
+    key is decoded first, so duplicate dictionary entries cannot split
+    a group."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -36,35 +40,38 @@ def _dict_codes(arr):
         arr = pa.array(arr)
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    if not pa.types.is_dictionary(arr.type):
-        arr = pc.dictionary_encode(arr)
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
+    if pa.types.is_dictionary(arr.type):
+        arr = arr.dictionary_decode()
     if arr.null_count:
         # a null index would round-trip through float NaN → garbage
         # int64 code and silently land in an arbitrary group (pandas
         # groupby DROPPED null keys); refuse loudly instead
         raise ValueError("_arrow_group_aggs: null key values are unsupported")
-    return (
-        arr.indices.to_numpy(zero_copy_only=False).astype(np.int64),
-        arr.dictionary,
-    )
+    arr = pc.dictionary_encode(arr)
+    order = pc.sort_indices(arr.dictionary).to_numpy()
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order), dtype=np.int64)
+    codes = arr.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    return rank[codes], arr.dictionary.take(pa.array(order))
 
 
 def _arrow_group_aggs(keys, vals, n: int):
-    """Per-block partial aggregation, pure pyarrow + numpy — the
-    Arrow-native replacement for the ``assign → pandas groupby`` partial
-    kernels (avoids the Arrow→pandas→Arrow round-trip on every block of
-    the hottest two-phase pipelines; the exchanges were already Arrow).
+    """Group-by aggregation, pure pyarrow + numpy: the per-block partial
+    of every two-phase aggregate and, through ``two_phase_agg``, its
+    combine.
 
     ``keys``: name → key array (pa.Array / ChunkedArray / DictionaryArray
     / np.ndarray). ``vals``: name → ("count", None) or
-    ("sum" | "min" | "max", numpy array). Grouping is a composite-code
-    np.unique (codes come from Arrow dictionary encoding, so composite
-    values stay < n_rows² — no overflow at any block size); sums are
-    int64 np.add.at (integer partials stay exact, per the repo's
-    no-float-partials invariant); min/max preserve the input dtype.
-    Returns one pa.Table row per distinct key combination in this block.
+    ("sum" | "min" | "max", integer numpy array). Grouping is a
+    composite-code np.unique over value ranks (composite values stay
+    < n_rows² — no overflow at any block size), so the output rows are
+    sorted by ``keys`` exactly as pandas ``groupby(keys, sort=True)``
+    sorts them; sums are int64 np.add.at (integer partials stay exact,
+    per the repo's no-float-partials invariant); min/max preserve the
+    input dtype (uint64 included). A null key or a non-integer value
+    column raises: pandas dropped the first silently and the int64
+    accumulator would truncate the second.
+    Returns one pa.Table row per distinct key combination.
     """
     import pyarrow as pa
 
@@ -81,10 +88,15 @@ def _arrow_group_aggs(keys, vals, n: int):
                 arr = arr.dictionary_decode()
             cols[kn] = arr.slice(0, 0)
         for vn, (kind, arr) in vals.items():
-            dt = pa.int64() if arr is None else pa.from_numpy_dtype(arr.dtype)
+            dt = pa.int64() if kind in ("count", "sum") else pa.from_numpy_dtype(arr.dtype)
             cols[vn] = pa.array([], dt)
         return pa.table(cols)
 
+    for vn, (kind, arr) in vals.items():
+        if arr is not None and arr.dtype.kind not in "iu":
+            raise ValueError(
+                f"_arrow_group_aggs: {kind} of {vn!r} needs an integer column, got {arr.dtype}"
+            )
     codes, dicts = [], []
     for kn in names:
         c, d = _dict_codes(keys[kn])
@@ -130,26 +142,64 @@ def _arrow_group_aggs(keys, vals, n: int):
     return pa.table(out_cols)
 
 
-def _combine_partials(partials, keys, aggs):
-    """Final combine for two-phase aggregation with BOUNDED group
-    cardinality: per-batch partials have already collapsed each block to
-    ≤|groups| rows, so the surviving data is tiny regardless of input
-    size — coalesce it to one block and run a single vectorized pandas
-    groupby. Ray Data's groupby().aggregate()/map_groups() pay ~3ms of
-    Python per group (measured 10-20s for 3.4k groups) which dwarfs this
-    plan; a real shuffle only earns its cost when group cardinality is
-    unbounded (e.g. groupby text hash in exact_dedup)."""
+def _regroup(t, keys, aggs):
+    """``_arrow_group_aggs`` over a table of partials: ``aggs`` maps each
+    partial column to "sum" | "min" | "max"; other columns are dropped."""
+    vals = {}
+    for c, how in aggs.items():
+        col = t.column(c)
+        if col.null_count:
+            raise ValueError(f"two_phase_agg: null values in partial column {c!r}")
+        vals[c] = (how, col.to_numpy())
+    return _arrow_group_aggs({k: t.column(k) for k in keys}, vals, t.num_rows)
 
-    def combine(b: pd.DataFrame) -> pd.DataFrame:
-        if len(b) == 0:
-            return b
-        return b.groupby(keys, as_index=False).agg(
-            **{c: (c, how) for c, how in aggs.items()}
-        )
+
+def two_phase_agg(partials, keys, aggs, finalize=None):
+    """Re-aggregate per-block partials: the engine's one combine for
+    BOUNDED group cardinality. The partials (one row per group per block,
+    any block format) are coalesced into one block and re-grouped by
+    ``keys`` with ``_arrow_group_aggs`` — ``aggs`` maps each partial
+    column to "sum" | "min" | "max" over integers — giving one Arrow
+    block sorted by ``keys`` like pandas ``groupby(keys, sort=True)``.
+    ``finalize`` (pandas frame → frame), if given, runs on that frame
+    inside the same one-block call, so a query's driver-side finish costs
+    no second coalesce.
+
+    There is no intermediate fold, at any site: the partials go straight
+    to the combine. Measured on 1 CPU, an extra per-65536-row re-group
+    before the coalesce made the ten graph/quantile queries that had one
+    slower at sf0.01 (sum of median walls 11.9 s with it, 11.0 s without)
+    and left doc_stats_by_lang flat (0.228 vs 0.221 s). Ray Data's
+    groupby().aggregate()/map_groups() pay ~3ms of Python per group
+    (10-20s for 3.4k groups), which dwarfs this plan; a real shuffle
+    (``dedup.salted_groupby``) only earns its cost when group
+    cardinality is unbounded."""
+
+    def combine(t):
+        out = _regroup(t, keys, aggs)
+        return out if finalize is None else finalize(out.to_pandas())
 
     return partials.repartition(1).map_batches(
-        combine, batch_format="pandas", batch_size=None
+        combine, batch_format="pyarrow", batch_size=None
     )
+
+
+def topk_rank(parts, score: str, key: str, k: int):
+    """Global top-k fold: coalesce per-partition top-k candidates into
+    one block, order by ``score`` descending then ``key`` ascending, keep
+    ``k`` rows and number them from 1. Returns (rank, key, score)."""
+
+    def rank(b: pd.DataFrame) -> pd.DataFrame:
+        b = b.sort_values([score, key], ascending=[False, True]).head(k)
+        return pd.DataFrame(
+            {
+                "rank": np.arange(1, len(b) + 1, dtype=np.int64),
+                key: b[key].to_numpy(),
+                score: b[score].to_numpy(),
+            }
+        )
+
+    return parts.repartition(1).map_batches(rank, batch_format="pandas", batch_size=None)
 
 
 def revenue_by_returnflag(sf_dir: str):
@@ -180,7 +230,7 @@ def revenue_by_returnflag(sf_dir: str):
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    return _combine_partials(
+    return two_phase_agg(
         partials,
         ["l_returnflag", "l_linestatus"],
         {"n_items": "sum", "sum_qty": "sum", "revenue_cents": "sum"},
@@ -243,7 +293,7 @@ def customers_by_region(sf_dir: str):
         batch_size=65536,
         concurrency=(1, 4),
     )
-    return _combine_partials(
+    return two_phase_agg(
         partials,
         ["r_name"],
         {"n_customers": "sum", "total_acctbal_cents": "sum"},
@@ -282,7 +332,7 @@ def events_hourly(sf_dir: str):
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    return _combine_partials(
+    return two_phase_agg(
         partials,
         ["event_type", "hour_epoch"],
         {"n_events": "sum", "total_value_cents": "sum"},
@@ -398,7 +448,7 @@ def events_sliding(sf_dir: str, window_s: int = 3600, slide_s: int = 900):
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    return _combine_partials(
+    return two_phase_agg(
         partials,
         ["event_type", "window_start"],
         {"n_events": "sum", "total_value_cents": "sum"},
@@ -635,8 +685,10 @@ def local_supplier_revenue(sf_dir: str):
         )
 
     partials = salted_groupby(li.union(o_c_tagged), "key", join_filter_partial)
-    return _combine_partials(
-        partials, ["n_name"], {"revenue_cents": "sum", "n_items": "sum"}
+    return two_phase_agg(
+        partials,
+        ["n_name"],
+        {"revenue_cents": "sum", "n_items": "sum"},
     )
 
 
@@ -666,7 +718,7 @@ def distinct_users_by_type(sf_dir: str):
         return g.astype({"n_users": "int64"})
 
     partials = salted_groupby(pairs, ["event_type", "user_id"], dedup_count)
-    return _combine_partials(partials, ["event_type"], {"n_users": "sum"})
+    return two_phase_agg(partials, ["event_type"], {"n_users": "sum"})
 
 
 def events_quantiles(sf_dir: str, ps=(25, 50, 75, 90, 99)):
@@ -696,13 +748,11 @@ def events_quantiles(sf_dir: str, ps=(25, 50, 75, 90, 99)):
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    hist = _combine_partials(partials, ["event_type", "v_cents"], {"n": "sum"})
-
-    def quantiles(h: pd.DataFrame) -> pd.DataFrame:
-        return _quantiles_from_hist(h, ps)
-
-    return hist.repartition(1).map_batches(
-        quantiles, batch_format="pandas", batch_size=None
+    return two_phase_agg(
+        partials,
+        ["event_type", "v_cents"],
+        {"n": "sum"},
+        finalize=lambda h: _quantiles_from_hist(h, ps),
     )
 
 
@@ -966,7 +1016,7 @@ def events_outlier_flags(sf_dir: str):
             t.num_rows,
         )
 
-    m = _combine_partials(
+    m = two_phase_agg(
         ds.map_batches(moment_partial, batch_format="pyarrow", batch_size=65536),
         ["event_type"],
         {"n": "sum", "s": "sum", "q": "sum"},
@@ -1046,9 +1096,7 @@ def user_retention_cohorts(sf_dir: str, week_s: int = 604800):
         )
 
     partials = salted_groupby(ds, "user_id", cohorts)
-    return _combine_partials(
-        partials, ["cohort_week", "week_offset"], {"n_users": "sum"}
-    )
+    return two_phase_agg(partials, ["cohort_week", "week_offset"], {"n_users": "sum"})
 
 
 def events_winsorized_stats(sf_dir: str, p_lo: int = 1, p_hi: int = 99):
@@ -1079,7 +1127,7 @@ def events_winsorized_stats(sf_dir: str, p_lo: int = 1, p_hi: int = 99):
             t.num_rows,
         )
 
-    hist = _combine_partials(
+    hist = two_phase_agg(
         ds.map_batches(hist_partial, batch_format="pyarrow", batch_size=65536),
         ["event_type", "v_cents"],
         {"n": "sum"},
@@ -1120,7 +1168,7 @@ def events_winsorized_stats(sf_dir: str, p_lo: int = 1, p_hi: int = 99):
         )
 
     partials = ds.map_batches(clip_partial, batch_format="pyarrow", batch_size=65536)
-    return _combine_partials(
+    return two_phase_agg(
         partials,
         ["event_type"],
         {
@@ -1181,9 +1229,7 @@ def events_sliding_distinct(sf_dir: str, window_s: int = 3600, slide_s: int = 90
     partials = salted_groupby(
         trip, ["event_type", "window_start", "user_id"], dedup_count
     )
-    return _combine_partials(
-        partials, ["event_type", "window_start"], {"n_users": "sum"}
-    )
+    return two_phase_agg(partials, ["event_type", "window_start"], {"n_users": "sum"})
 
 
 def events_funnel(
@@ -1420,7 +1466,7 @@ def events_props_stats(sf_dir: str):
         )
 
     partials = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-    return _combine_partials(
+    return two_phase_agg(
         partials,
         ["event_type"],
         {"n_with_k": "sum", "sum_k": "sum", "min_k": "min", "max_k": "max"},
@@ -1453,7 +1499,7 @@ def parts_by_brand(sf_dir: str):
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    out = _combine_partials(
+    return two_phase_agg(
         partials,
         ["p_brand"],
         {
@@ -1462,11 +1508,7 @@ def parts_by_brand(sf_dir: str):
             "min_size": "min",
             "max_size": "max",
         },
-    )
-    return out.map_batches(
-        lambda b: b.astype({"min_size": "int64", "max_size": "int64"}),
-        batch_format="pandas",
-        batch_size=None,
+        finalize=lambda b: b.astype({"min_size": "int64", "max_size": "int64"}),
     )
 
 
@@ -1561,7 +1603,6 @@ def approx_distinct_users(sf_dir: str):
         return pd.concat(frames, ignore_index=True)
 
     partials = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-    merged = _combine_partials(partials, ["event_type", "reg_id"], {"reg_max": "max"})
 
     def estimate(h: pd.DataFrame) -> pd.DataFrame:
         out_t, out_n = [], []
@@ -1574,8 +1615,11 @@ def approx_distinct_users(sf_dir: str):
             {"event_type": out_t, "approx_users": np.asarray(out_n, dtype=np.int64)}
         )
 
-    return merged.repartition(1).map_batches(
-        estimate, batch_format="pandas", batch_size=None
+    return two_phase_agg(
+        partials,
+        ["event_type", "reg_id"],
+        {"reg_max": "max"},
+        finalize=estimate,
     )
 
 
@@ -1621,7 +1665,7 @@ def hll_user_registers(sf_dir: str):
         return pd.concat(frames, ignore_index=True)
 
     partials = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-    return _combine_partials(partials, ["event_type", "reg_id"], {"reg_max": "max"})
+    return two_phase_agg(partials, ["event_type", "reg_id"], {"reg_max": "max"})
 
 
 def _hll_registers_sql() -> str:
@@ -1674,15 +1718,7 @@ def orders_topk_by_value(sf_dir: str, k: int = 20):
         return top[["o_orderkey", "price_cents"]]
 
     partials = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-    top = partials.sort(["price_cents", "o_orderkey"], descending=[True, False]).limit(k)
-
-    def add_rank(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.reset_index(drop=True)
-        b["rank"] = np.arange(1, len(b) + 1, dtype=np.int64)
-        return b[["rank", "o_orderkey", "price_cents"]]
-
-    # coalesce the k rows into ONE block so the rank is global
-    return top.repartition(1).map_batches(add_rank, batch_format="pandas", batch_size=k)
+    return topk_rank(partials, "price_cents", "o_orderkey", k)
 
 def events_user_rolling(sf_dir: str, frame: int = 3):
     """Per-user ROWS-frame rolling sum — the ordered window-frame
@@ -1733,13 +1769,7 @@ def events_user_rolling(sf_dir: str, frame: int = 3):
             }
         )
 
-    return salted_groupby(
-        keyed,
-        lambda t: pd.util.hash_pandas_object(
-            t["user_id"].to_pandas(), index=False
-        ).astype("int64"),
-        roll,
-    )
+    return salted_groupby(keyed, "user_id", roll)
 
 
 def events_prior_window_counts(
@@ -1847,14 +1877,7 @@ def events_prior_window_counts(
         g = part.groupby("event_id", as_index=False).agg(n_prior=("cnt", "sum"))
         return g.astype({"event_id": "int64", "n_prior": "int64"})
 
-    return salted_groupby(
-        partials,
-        lambda t: pd.util.hash_pandas_object(
-            t["event_id"].to_pandas(), index=False
-        ).astype("int64"),
-        finish,
-        num_parts=num_parts,
-    )
+    return salted_groupby(partials, "event_id", finish, num_parts=num_parts)
 
 
 def orders_returned_semijoin(sf_dir: str):
@@ -1926,7 +1949,7 @@ def orders_returned_semijoin(sf_dir: str):
         )
 
     partials = salted_groupby(probe.union(build), "key", semi)
-    return _combine_partials(partials, ["o_orderpriority"], {"n_orders": "sum"})
+    return two_phase_agg(partials, ["o_orderpriority"], {"n_orders": "sum"})
 
 
 def events_robust_stats(sf_dir: str):
@@ -1954,7 +1977,6 @@ def events_robust_stats(sf_dir: str):
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    hist = _combine_partials(partials, ["event_type", "v_cents"], {"n": "sum"})
 
     def _rank_pick(vals: np.ndarray, cnts: np.ndarray) -> int:
         order = np.argsort(vals, kind="stable")
@@ -1986,8 +2008,11 @@ def events_robust_stats(sf_dir: str):
             }
         )
 
-    return hist.repartition(1).map_batches(
-        robust, batch_format="pandas", batch_size=None
+    return two_phase_agg(
+        partials,
+        ["event_type", "v_cents"],
+        {"n": "sum"},
+        finalize=robust,
     )
 
 
@@ -2271,12 +2296,6 @@ def events_hourly_trend(sf_dir: str):
             t.num_rows,
         )
 
-    hourly = _combine_partials(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
-        ["event_type", "hr"],
-        {"y": "sum"},
-    )
-
     def trend(h: pd.DataFrame) -> pd.DataFrame:
         if not len(h):
             return pd.DataFrame(
@@ -2308,8 +2327,11 @@ def events_hourly_trend(sf_dir: str):
             {"n_hours": "int64", "slope_num": "int64", "slope_den": "int64"}
         )
 
-    return hourly.repartition(1).map_batches(
-        trend, batch_format="pandas", batch_size=None
+    return two_phase_agg(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        ["event_type", "hr"],
+        {"y": "sum"},
+        finalize=trend,
     )
 
 
@@ -2342,12 +2364,6 @@ def events_grouping_sets(sf_dir: str):
             },
             t.num_rows,
         )
-
-    fine = _combine_partials(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
-        ["event_type", "hour_of_day"],
-        {"n": "sum", "v_cents": "sum"},
-    )
 
     def levels(h: pd.DataFrame) -> pd.DataFrame:
         if not len(h):
@@ -2385,8 +2401,11 @@ def events_grouping_sets(sf_dir: str):
             {"hour_of_day": "int64", "n": "int64", "v_cents": "int64"}
         )
 
-    return fine.repartition(1).map_batches(
-        levels, batch_format="pandas", batch_size=None
+    return two_phase_agg(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        ["event_type", "hour_of_day"],
+        {"n": "sum", "v_cents": "sum"},
+        finalize=levels,
     )
 
 
@@ -2443,7 +2462,7 @@ def customer_rfm_segments(sf_dir: str, num_parts: Optional[int] = None):
             frames.append(pd.DataFrame({"dim": col, "v": v, "n": c.astype(np.int64)}))
         return pd.concat(frames, ignore_index=True)
 
-    hist = _combine_partials(
+    hist = two_phase_agg(
         tri.map_batches(hist_partial, batch_format="pandas", batch_size=65536),
         ["dim", "v"],
         {"n": "sum"},
@@ -2548,7 +2567,7 @@ def customer_order_distribution(sf_dir: str):
         )
 
     h = salted_groupby(partials, "k", hist)
-    combined = _combine_partials(h, ["n_orders"], {"n_customers": "sum"}).to_pandas()
+    combined = two_phase_agg(h, ["n_orders"], {"n_customers": "sum"}).to_pandas()
 
     n_cust = rd.read_parquet(
         table_path(sf_dir, "customer"), columns=["c_custkey"]
@@ -2685,8 +2704,10 @@ def dormant_balance_report(sf_dir: str, cutoff: str = "2000-01-01"):
         )
 
     partials = salted_groupby(cand.union(recent), "key", anti_seg_partial)
-    return _combine_partials(
-        partials, ["c_mktsegment"], {"n_cust": "sum", "bal_cents": "sum"}
+    return two_phase_agg(
+        partials,
+        ["c_mktsegment"],
+        {"n_cust": "sum", "bal_cents": "sum"},
     )
 
 
@@ -2909,8 +2930,10 @@ def events_gap_histogram(sf_dir: str):
         return out.astype({"bucket": "int64", "n": "int64", "total_gap_s": "int64"})
 
     partials = salted_groupby(ds, "user_id", gaps_partial)
-    return _combine_partials(
-        partials, ["event_type", "bucket"], {"n": "sum", "total_gap_s": "sum"}
+    return two_phase_agg(
+        partials,
+        ["event_type", "bucket"],
+        {"n": "sum", "total_gap_s": "sum"},
     )
 
 
@@ -3117,7 +3140,7 @@ def promo_revenue_share(sf_dir: str):
         table_path(sf_dir, "lineitem"),
         columns=["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"],
     ).map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    return _combine_partials(
+    return two_phase_agg(
         partials,
         ["ship_month"],
         {"promo_cents": "sum", "total_cents": "sum", "n_items": "sum"},
@@ -3660,7 +3683,7 @@ def order_fulfillment_span(sf_dir: str):
         )
 
     partials = salted_groupby(orders.union(li), "okey", span)
-    return _combine_partials(
+    return two_phase_agg(
         partials,
         ["o_orderpriority"],
         {
@@ -3703,8 +3726,6 @@ def largest_doc_by_group(sf_dir: str):
     partials = read_documents(
         sf_dir, columns=["doc_id", "lang", "source", "n_chars"]
     ).map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    combined = _combine_partials(partials, ["lang", "source"], {"comp": "max"})
-
     def decode(b: pd.DataFrame) -> pd.DataFrame:
         comp = b["comp"].to_numpy(dtype=np.int64)
         return pd.DataFrame(
@@ -3716,7 +3737,7 @@ def largest_doc_by_group(sf_dir: str):
             }
         )
 
-    return combined.map_batches(decode, batch_format="pandas", batch_size=None)
+    return two_phase_agg(partials, ["lang", "source"], {"comp": "max"}, finalize=decode)
 
 
 def forecast_revenue_change(sf_dir: str):
@@ -3821,8 +3842,10 @@ def banded_brand_revenue(sf_dir: str):
         table_path(sf_dir, "lineitem"),
         columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
     ).map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    return _combine_partials(
-        partials, ["arm"], {"n_lineitems": "sum", "revenue_cents": "sum"}
+    return two_phase_agg(
+        partials,
+        ["arm"],
+        {"n_lineitems": "sum", "revenue_cents": "sum"},
     )
 
 
@@ -3881,7 +3904,7 @@ def customer_cohort_revenue(sf_dir: str):
         return out.rename(columns={"m": "order_month"})
 
     partials = salted_groupby(parts, "ck", cohort)
-    return _combine_partials(
+    return two_phase_agg(
         partials,
         ["cohort_month", "order_month"],
         {"n_orders": "sum", "revenue_cents": "sum"},
@@ -4039,7 +4062,7 @@ def late_order_priority_counts(sf_dir: str, late_days: int = 60):
         )
 
     partials = salted_groupby(orders.union(li), "okey", late)
-    return _combine_partials(partials, ["o_orderpriority"], {"n_late_orders": "sum"})
+    return two_phase_agg(partials, ["o_orderpriority"], {"n_late_orders": "sum"})
 
 
 def sole_delay_suppliers(sf_dir: str, k: int = 25, late_days: int = 60):
@@ -4719,7 +4742,7 @@ def dominant_part_suppliers(sf_dir: str, share_pct: int = 15):
         )
 
     partials = salted_groupby(li, "pk", dominate)
-    tot = _combine_partials(partials, ["sk"], {"n": "sum"}).to_pandas()
+    tot = two_phase_agg(partials, ["sk"], {"n": "sum"}).to_pandas()
     if len(tot) == 0:
         tot = pd.DataFrame({"sk": pd.Series([], dtype="int64"),
                             "n": pd.Series([], dtype="int64")})
@@ -4869,7 +4892,6 @@ def events_drift_cusum(sf_dir: str):
         )
 
     partials = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-    combined = _combine_partials(partials, ["event_type", "h"], {"n": "sum"})
 
     def finish(b: pd.DataFrame) -> pd.DataFrame:
         if len(b) == 0:
@@ -4909,9 +4931,7 @@ def events_drift_cusum(sf_dir: str):
             }
         )
 
-    return combined.repartition(1).map_batches(
-        finish, batch_format="pandas", batch_size=None
-    )
+    return two_phase_agg(partials, ["event_type", "h"], {"n": "sum"}, finalize=finish)
 
 
 def events_periodicity(sf_dir: str, lags=(1, 24, 168)):
@@ -4942,7 +4962,6 @@ def events_periodicity(sf_dir: str, lags=(1, 24, 168)):
         )
 
     partials = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-    combined = _combine_partials(partials, ["event_type", "h"], {"n": "sum"})
 
     def finish(b: pd.DataFrame) -> pd.DataFrame:
         if len(b) == 0:
@@ -4978,9 +4997,7 @@ def events_periodicity(sf_dir: str, lags=(1, 24, 168)):
             }
         )
 
-    return combined.repartition(1).map_batches(
-        finish, batch_format="pandas", batch_size=None
-    )
+    return two_phase_agg(partials, ["event_type", "h"], {"n": "sum"}, finalize=finish)
 
 
 def user_activity_histogram(sf_dir: str):
@@ -5017,7 +5034,7 @@ def user_activity_histogram(sf_dir: str):
         )
 
     out = salted_groupby(partials, "user_id", hist)
-    return _combine_partials(out, ["n_events"], {"n_users": "sum"})
+    return two_phase_agg(out, ["n_events"], {"n_users": "sum"})
 
 
 def _bloom_hashes(keys: np.ndarray, m_bits: int, k_hashes: int) -> np.ndarray:
@@ -5448,7 +5465,7 @@ def linestatus_priority_counts(sf_dir: str):
         )
 
     parts = salted_groupby(li.union(orders), "okey", finish)
-    return _combine_partials(
+    return two_phase_agg(
         parts,
         ["l_returnflag", "l_linestatus"],
         {"high_lines": "sum", "low_lines": "sum"},
@@ -5513,7 +5530,7 @@ def event_type_overlap_matrix(sf_dir: str):
         return out.rename(columns={"event_type_x": "type_a", "event_type_y": "type_b"})
 
     parts = salted_groupby(ds, "user_id", finish)
-    return _combine_partials(parts, ["type_a", "type_b"], {"n_users": "sum"})
+    return two_phase_agg(parts, ["type_a", "type_b"], {"n_users": "sum"})
 
 
 EVENT_TYPE_OVERLAP_MATRIX_SQL = """
@@ -5571,10 +5588,6 @@ def orders_priority_pivot(sf_dir: str):
         columns=["o_orderdate", "o_orderpriority", "o_totalprice"],
     ).map_batches(partial, batch_format="pyarrow", batch_size=65536)
 
-    combined = _combine_partials(
-        parts, ["o_year", "prio"], {"n": "sum", "cents": "sum"}
-    )
-
     def widen(b: pd.DataFrame) -> pd.DataFrame:
         cols = {"o_year": pd.Series(dtype="int64")}
         for _, short in classes:
@@ -5595,7 +5608,12 @@ def orders_priority_pivot(sf_dir: str):
             )
         return pd.DataFrame(out)[list(cols)]
 
-    return combined.map_batches(widen, batch_format="pandas", batch_size=None)
+    return two_phase_agg(
+        parts,
+        ["o_year", "prio"],
+        {"n": "sum", "cents": "sum"},
+        finalize=widen,
+    )
 
 
 ORDERS_PRIORITY_PIVOT_SQL = """
@@ -5795,7 +5813,6 @@ def supplier_diversity(sf_dir: str):
         )
 
     parts = salted_groupby(ds, pair_salt, count_partial)
-    combined = _combine_partials(parts, ["bc"], {"n_suppliers": "sum"})
 
     def decode(b: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
@@ -5806,7 +5823,7 @@ def supplier_diversity(sf_dir: str):
         )
         return out
 
-    return combined.map_batches(decode, batch_format="pandas", batch_size=None)
+    return two_phase_agg(parts, ["bc"], {"n_suppliers": "sum"}, finalize=decode)
 
 
 SUPPLIER_DIVERSITY_SQL = """
@@ -6223,7 +6240,6 @@ def events_type_correlation_moments(sf_dir: str):
         )
 
     partials = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-    combined = _combine_partials(partials, ["event_type", "h"], {"n": "sum"})
 
     def finish(b: pd.DataFrame) -> pd.DataFrame:
         cols = ["type_a", "type_b", "n_hours", "sum_a", "sum_b",
@@ -6259,9 +6275,7 @@ def events_type_correlation_moments(sf_dir: str):
             }
         )
 
-    return combined.repartition(1).map_batches(
-        finish, batch_format="pandas", batch_size=None
-    )
+    return two_phase_agg(partials, ["event_type", "h"], {"n": "sum"}, finalize=finish)
 
 
 EVENTS_TYPE_CORRELATION_MOMENTS_SQL = """
@@ -6601,7 +6615,7 @@ def events_watermark_lateness(
         )
 
     bmax = (
-        _combine_partials(
+        two_phase_agg(
             ds.map_batches(max_partial, batch_format="pandas", batch_size=65536),
             ["bucket"],
             {"mx": "max"},
@@ -6656,8 +6670,9 @@ def events_watermark_lateness(
         per_bucket,
         num_parts=n_buckets,
     )
-    return _combine_partials(
-        partials, ["event_type", "window_hour"],
+    return two_phase_agg(
+        partials,
+        ["event_type", "window_hour"],
         {"on_time": "sum", "late": "sum"},
     )
 

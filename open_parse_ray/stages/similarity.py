@@ -952,13 +952,7 @@ def semdedup_keep(
             {"vec_id": ids, "kept": (rep == ids).astype(np.int64), "rep_id": rep}
         )
 
-    return salted_groupby(
-        union,
-        lambda t: pd.util.hash_pandas_object(
-            t["vec_id"].to_pandas(), index=False
-        ).astype("int64"),
-        join,
-    )
+    return salted_groupby(union, "vec_id", join)
 
 
 def label_centroid_sums(sf_dir: str, scale: int = 10**6):
@@ -974,7 +968,7 @@ def label_centroid_sums(sf_dir: str, scale: int = 10**6):
     partials, zero exchanges. Returns (label, dim, sum_fp)."""
     import ray.data as rd
 
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     ds = rd.read_parquet(
         table_path(sf_dir, "embeddings"), columns=["label", "embedding"]
@@ -1010,7 +1004,7 @@ def label_centroid_sums(sf_dir: str, scale: int = 10**6):
         )
 
     partials = ds.map_batches(partial, batch_format="pandas", batch_size=8192)
-    return _combine_partials(partials, ["label", "dim"], {"sum_fp": "sum"})
+    return two_phase_agg(partials, ["label", "dim"], {"sum_fp": "sum"})
 
 
 # --- MMR diverse selection ---------------------------------------------------

@@ -205,22 +205,23 @@ def url_domain_stats(sf_dir: str):
     domains. Bounded-cardinality two-phase aggregate: per-batch partials
     collapse each block to ≤|domains-in-block| rows before the tiny
     final combine. Returns (domain, n_docs, total_chars)."""
-    from open_parse_ray.stages.analysis import read_documents
-    from open_parse_ray.stages.relational import _combine_partials
+    import pyarrow as pa
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        dom = pd.Series([registered_domain(u) for u in _messy_urls(b)], name="domain")
-        g = pd.DataFrame(
-            {"domain": dom, "n_docs": 1, "total_chars": b["n_chars"].to_numpy(dtype=np.int64)}
-        ).groupby("domain", as_index=False).agg(
-            n_docs=("n_docs", "sum"), total_chars=("total_chars", "sum")
+    from open_parse_ray.stages.analysis import read_documents
+    from open_parse_ray.stages.relational import _arrow_group_aggs, two_phase_agg
+
+    def partial(t: pa.Table) -> pa.Table:
+        urls = map(synth_messy_url, t.column("doc_id").to_pylist(), t.column("source").to_pylist())
+        return _arrow_group_aggs(
+            {"domain": pa.array([registered_domain(u) for u in urls], pa.string())},
+            {"n_docs": ("count", None), "total_chars": ("sum", t.column("n_chars").to_numpy())},
+            t.num_rows,
         )
-        return g.astype({"n_docs": "int64", "total_chars": "int64"})
 
     partials = read_documents(sf_dir, columns=["doc_id", "source", "n_chars"]).map_batches(
-        partial, batch_format="pandas", batch_size=65536
+        partial, batch_format="pyarrow", batch_size=65536
     )
-    return _combine_partials(partials, ["domain"], {"n_docs": "sum", "total_chars": "sum"})
+    return two_phase_agg(partials, ["domain"], {"n_docs": "sum", "total_chars": "sum"})
 
 
 def domain_quality_filter(sf_dir: str, min_mean_chars: int = 300):
@@ -699,7 +700,7 @@ def outlink_host_counts(sf_dir: str):
     tiny combine — the degree table for a 10^12-page crawl ships KBs
     per block. Returns (host, n_links)."""
     from open_parse_ray.functions.urlref import host_of
-    from open_parse_ray.stages.relational import _combine_partials
+    from open_parse_ray.stages.relational import two_phase_agg
 
     links = extract_outlinks(sf_dir)
 
@@ -714,7 +715,7 @@ def outlink_host_counts(sf_dir: str):
              "n_links": g.to_numpy(dtype=np.int64)}
         )
 
-    return _combine_partials(
+    return two_phase_agg(
         links.map_batches(partial, batch_format="pandas", batch_size=16384),
         ["host"],
         {"n_links": "sum"},

@@ -230,6 +230,136 @@ def test_one_exchange_primitive():
     assert stray == [], stray
 
 
+def test_one_two_phase_aggregate():
+    """The engine has one combine: ``_combine_partials`` and ranking's
+    ``_fold`` are neither defined nor called under open_parse_ray/, and
+    no ``.repartition(`` or ``.map_batches(`` is chained on a
+    ``two_phase_agg(...)`` result, directly or through a name bound from
+    one (a finish belongs in ``finalize``, which runs in the combine's
+    own one-block call)."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "open_parse_ray"
+    retired = {"_combine_partials", "_fold"}
+
+    def is_agg(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "two_phase_agg"
+        )
+
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {
+            t.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and is_agg(node.value)
+            for t in node.targets
+            if isinstance(t, ast.Name)
+        }
+        for node in ast.walk(tree):
+            where = f"{path.relative_to(root)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in retired:
+                bad.append(f"{where} defines {node.name}")
+            elif isinstance(node, ast.Name) and node.id in retired:
+                bad.append(f"{where} uses {node.id}")
+            elif isinstance(node, ast.alias) and node.name in retired:
+                bad.append(f"{where} imports {node.name}")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("repartition", "map_batches")
+            ):
+                on = node.func.value
+                if is_agg(on) or (isinstance(on, ast.Name) and on.id in bound):
+                    bad.append(f"{where} {node.func.attr} on a two_phase_agg result")
+    assert bad == [], bad
+
+
+def test_two_phase_agg_kernel_equals_pandas_groupby():
+    """The fold/combine kernel of ``two_phase_agg`` equals
+    ``DataFrame.groupby(keys, sort=True).agg(...)`` row for row (order
+    included) on int64 / string / binary / dictionary keys, one to three
+    of them, in one chunk, in several chunks and empty, for sum and for
+    int64 and uint64 min/max; a null key and a float sum raise."""
+    import numpy as np
+    import pytest
+
+    from open_parse_ray.stages.relational import _regroup
+
+    rng = np.random.default_rng(7)
+    n = 3000
+    words = np.array(["b", "a", "ab", "é", "Z", "", "zz", "a b"], dtype=object)
+    cols = {
+        "i": rng.integers(-50, 50, n).astype(np.int64),
+        "s": words[rng.integers(0, len(words), n)],
+        "y": np.array([w.encode() + b"\x00\xff"[: k % 3] for w, k in
+                       zip(words[rng.integers(0, len(words), n)], range(n))], dtype=object),
+        "d": words[rng.integers(0, 4, n)],
+        # beyond 2**53: a sum taken through float64 loses low bits
+        "v": rng.integers(-(1 << 54), 1 << 54, n).astype(np.int64),
+        "u": rng.integers(0, np.iinfo(np.uint64).max, n, dtype=np.uint64, endpoint=True),
+    }
+    full = pa.table(
+        {
+            "i": pa.array(cols["i"]),
+            "s": pa.array(cols["s"], pa.string()),
+            "y": pa.array(cols["y"], pa.binary()),
+            "d": pa.array(cols["d"], pa.string()).dictionary_encode(),
+            "v": pa.array(cols["v"]),
+            "u": pa.array(cols["u"]),
+        }
+    )
+    chunked = pa.concat_tables(
+        [full.slice(a, b - a) for a, b in ((0, 1), (1, 700), (700, 701), (701, n))]
+    )
+    assert chunked.column("s").num_chunks > 1
+    aggs = {"v": "sum", "u": "max", "w": "min", "x": "max", "z": "min"}
+
+    def with_vals(t):
+        return (
+            t.append_column("w", t.column("v"))
+            .append_column("x", t.column("v"))
+            .append_column("z", t.column("u"))
+        )
+
+    def reference(t, keys):
+        plain = {
+            c: (t.column(c).cast(pa.string()) if c == "d" else t.column(c)).to_pandas()
+            for c in t.column_names
+        }
+        df = pd.DataFrame(plain)
+        return (
+            df.groupby(keys, sort=True)
+            .agg(**{c: (c, how) for c, how in aggs.items()})
+            .reset_index()
+        )
+
+    for keys in (["i"], ["s"], ["y"], ["d"], ["s", "i"], ["y", "d"], ["d", "s", "i"]):
+        for t in (full, chunked, full.slice(0, 0)):
+            t = with_vals(t)
+            got = _regroup(t, keys, aggs).to_pandas()
+            want = reference(t, keys)
+            assert list(got.columns) == list(want.columns), keys
+            assert len(got) == len(want), (keys, t.num_rows)
+            for c in want.columns:
+                g, w = got[c].tolist(), want[c].tolist()
+                assert g == w, (keys, t.num_rows, c)
+            if t.num_rows:
+                assert got["u"].dtype == np.uint64 and got["z"].dtype == np.uint64
+                assert got["v"].dtype == np.int64
+
+    nulls = full.set_column(1, "s", pa.array(list(cols["s"][:-1]) + [None], pa.string()))
+    with pytest.raises(ValueError, match="null key"):
+        _regroup(nulls, ["s"], {"v": "sum"})
+    floats = full.append_column("f", pa.array(cols["v"].astype(np.float64) + 0.5))
+    with pytest.raises(ValueError, match="integer column"):
+        _regroup(floats, ["i"], {"f": "sum"})
+
+
 def test_default_num_parts_rule(ray_session, tmp_path, monkeypatch):
     """Salt width = max(4 x cluster CPUs, ceil(input bytes / block
     target)); a leaf of unknown size counts the input as 0 bytes."""
