@@ -22,32 +22,25 @@ from open_parse_ray.model import Node
 DEFAULT_DIM = 64
 
 
-def cosine_similarity(a, b) -> float:
-    """(reference: semantic_transforms.py:14-17). Zero vectors produce
-    nan exactly like the reference (nan >= threshold is False, so
-    zero-embedding nodes never merge); the warning is suppressed, the
-    value is not changed."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-
-_TOKEN_HASH_CACHE: dict = {}
-_TOKEN_HASH_CACHE_CAP = 1_000_000
-
-
-def _token_hash(token: str) -> int:
-    """md5-derived 64-bit feature hash, cached per distinct token
+class _TokenHashes(dict):
+    """token → md5-derived 64-bit feature hash, filled on first lookup
     (vocabulary-bounded; the fixed-point merge loop re-embeds every node
-    text each round, so uncached hashing dominated the semantic stage)."""
-    h = _TOKEN_HASH_CACHE.get(token)
-    if h is None:
-        if len(_TOKEN_HASH_CACHE) >= _TOKEN_HASH_CACHE_CAP:
-            _TOKEN_HASH_CACHE.clear()
+    text each round, so uncached hashing dominated the semantic stage).
+    A hit is one C-level ``dict`` subscript; cleared when full."""
+
+    CAP = 1_000_000
+
+    def __missing__(self, token: str) -> int:
+        if len(self) >= self.CAP:
+            self.clear()
         h = int.from_bytes(
             hashlib.md5(token.encode("utf-8", "ignore")).digest()[:8], "little"
         )
-        _TOKEN_HASH_CACHE[token] = h
-    return h
+        self[token] = h
+        return h
+
+
+_TOKEN_HASH_CACHE = _TokenHashes()
 
 
 class HashedNGramEmbeddings:
@@ -68,38 +61,60 @@ class HashedNGramEmbeddings:
         self._vec_cache_cap = 50_000
 
     def _embed_uncached(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
+        """Signed feature-hash counts of the words and word bigrams,
+        L2-normalized. ``np.bincount`` adds the ±1.0 weights bucket by
+        bucket in feature order, the same float64 additions a per-feature
+        ``vec[h % dim] += sign`` loop makes; every partial sum is an
+        integer far below 2**53, so each add is exact and the counts are
+        bitwise equal to that loop's whatever the order. Pinned by
+        tests/test_robustness.py::test_embed_bincount_equals_per_feature_loop."""
         words = text.lower().split()
         feats = words + [f"{a}_{b}" for a, b in zip(words, words[1:])]
-        for f in feats:
-            h = _token_hash(f)
-            idx = h % self.dim
-            sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
-            vec[idx] += sign
+        if not feats:
+            return np.zeros(self.dim, dtype=np.float64)
+        hashes = _TOKEN_HASH_CACHE
+        h = np.array([hashes[f] for f in feats], dtype=np.uint64)
+        vec = np.bincount(
+            (h % np.uint64(self.dim)).astype(np.intp),
+            weights=np.where(h >> np.uint64(63), -1.0, 1.0),
+            minlength=self.dim,
+        )
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
         return vec
 
-    def embed(self, text: str) -> np.ndarray:
-        vec = self._vec_cache.get(text)
-        if vec is None:
+    def embed_normed(self, text: str):
+        """(vector, its ``np.linalg.norm``) of ``text``, both cached; the
+        zero vector (norm 0.0) for a text without words."""
+        hit = self._vec_cache.get(text)
+        if hit is None:
             if len(self._vec_cache) >= self._vec_cache_cap:
                 self._vec_cache.clear()
             vec = self._embed_uncached(text)
-            self._vec_cache[text] = vec
-        return vec
+            hit = (vec, np.linalg.norm(vec))
+            self._vec_cache[text] = hit
+        return hit
+
+    def embed(self, text: str) -> np.ndarray:
+        return self.embed_normed(text)[0]
 
     def embed_many(self, texts: Sequence[str]) -> List[List[float]]:
         """Zero vector for empty texts (reference: semantic_transforms.py:40-59)."""
-        return [
-            ([0.0] * self.dim if not t else self.embed(t).tolist()) for t in texts
-        ]
+        return [self.embed(t).tolist() for t in texts]
 
 
 class CombineNodesSemantically(ProcessingStep):
     """Fixed-point adjacent merge by cosine similarity
-    (reference: semantic_transforms.py:71-112)."""
+    (reference: semantic_transforms.py:71-112).
+
+    The similarity is the reference's ``np.dot(a, b) / (norm(a) *
+    norm(b))`` over the client's cached float64 vectors and norms
+    (``embed_normed``), the same values the reference's list round trip
+    gives. A zero vector gives nan (0/0), and nan >= threshold is False,
+    so an empty node never merges; the warning is silenced once per call.
+    A merged node keeps its left neighbour's vector until the next round,
+    as in the reference."""
 
     def __init__(self, embedding_client, min_similarity: float, max_tokens: int):
         self.embedding_client = embedding_client
@@ -107,25 +122,27 @@ class CombineNodesSemantically(ProcessingStep):
         self.max_tokens = max_tokens
 
     def process(self, nodes: List[Node]) -> List[Node]:
+        embed = self.embedding_client.embed_normed
         nodes = list(nodes)
         modified = True
-        while modified:
-            modified = False
-            nodes = sorted(nodes)
-            embeddings = self.embedding_client.embed_many([n.text for n in nodes])
-            i = 0
-            while i < len(nodes) - 1:
-                similarity = cosine_similarity(embeddings[i], embeddings[i + 1])
-                is_within_token_limit = (
-                    nodes[i].tokens + nodes[i + 1].tokens <= self.max_tokens
-                )
-                if similarity >= self.min_similarity and is_within_token_limit:
-                    nodes[i] = nodes[i] + nodes[i + 1]
-                    del nodes[i + 1]
-                    del embeddings[i + 1]
-                    modified = True
-                    continue
-                i += 1
+        with np.errstate(invalid="ignore", divide="ignore"):
+            while modified:
+                modified = False
+                nodes = sorted(nodes)
+                embeddings = [embed(n.text) for n in nodes]
+                i = 0
+                while i < len(nodes) - 1:
+                    (a, na), (b, nb) = embeddings[i], embeddings[i + 1]
+                    if (
+                        np.dot(a, b) / (na * nb) >= self.min_similarity
+                        and nodes[i].tokens + nodes[i + 1].tokens <= self.max_tokens
+                    ):
+                        nodes[i] = nodes[i] + nodes[i + 1]
+                        del nodes[i + 1]
+                        del embeddings[i + 1]
+                        modified = True
+                        continue
+                    i += 1
         return nodes
 
 

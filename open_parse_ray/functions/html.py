@@ -21,13 +21,13 @@ footers.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from html.parser import HTMLParser
 from typing import List, Optional, Tuple
 
 from open_parse_ray import consts
 from open_parse_ray.functions.spans import (
-    _WS_SEARCH,
     group_char_items_into_spans,
     single_style_span,
 )
@@ -99,12 +99,13 @@ _BLOCK_TAGS = {
 _HEADING_SIZES = {"h1": 24.0, "h2": 20.0, "h3": 18.0, "h4": 16.0, "h5": 14.0, "h6": 13.0}
 _DEFAULT_SIZE = 12.0
 
-# precompiled word-wrap splitters (keep separators; '' between consecutive
-# separators is skipped at the call site)
+# word-wrap scanners: the "\n" splitter keeps its separator ('' pieces
+# between separators are empty and skipped); words are maximal non-" "
+# stretches of a piece
 _NL_SPLIT = re.compile(r"(\n)").split
-_SP_SPLIT = re.compile(r"( )").split
-# whitespace other than the two split characters — the only kind that can
-# remain EMBEDDED in a word after the "\n" and " " splits
+_NON_SPACE = re.compile(r"[^ ]").search
+# whitespace other than " " and "\n" — the only kind that can remain
+# EMBEDDED in a word
 _ODD_WS_SEARCH = re.compile(r"[^\S \n]").search
 
 _FONT_STYLE_RE = re.compile(r"font-size\s*:\s*(\d+(?:\.\d+)?)px", re.IGNORECASE)
@@ -369,6 +370,23 @@ def _char_width(size: float) -> float:
     return 0.5 * size
 
 
+# Sizes above this are wrapped word by word (see _exact_cw64).
+_EXACT_SIZE_MAX = 32768.0
+
+
+def _exact_cw64(size: float) -> int:
+    """64 × ``_char_width(size)`` when that is an integer in
+    [1, 2**20], else 0. Such a width is a multiple of 1/64, so every
+    width and every sum of widths on a line (below 2**32 chars) is a
+    multiple of 1/64 under 2**53/64: exact in float64, whatever order
+    the additions run in."""
+    if 0.0 < size <= _EXACT_SIZE_MAX:
+        cw64 = size * 32.0
+        if cw64 == int(cw64):
+            return int(cw64)
+    return 0
+
+
 class _Layout:
     """Deterministic top-down flow layout over US-letter pages."""
 
@@ -390,113 +408,154 @@ class _Layout:
         self.bottom_cursor = 40.0
 
     def _wrap(self, runs) -> List[tuple]:
-        """Greedy word-wrap of styled runs into lines of char tuples.
+        """Greedy word-wrap of styled runs into lines.
 
-        Returns (chars, width, max_size, uni) per line — width/max_size
-        are computed ONCE at line flush (identical accumulation order to
-        a fresh left-to-right sum, so bboxes stay bit-identical) instead
-        of re-derived by every downstream consumer; ``uni`` is the
-        uniform-style (font, size) marker for the span fast path, or
-        None when the line mixes styles / embedded whitespace."""
+        Each line is ``(segs, width, max_size, uni)``: ``segs`` are the
+        ``(text, font, size)`` slices of the runs it holds, ``uni`` the
+        uniform-style ``(font, size)`` marker for the span fast path, or
+        None when the line mixes styles or carries whitespace other than
+        " " inside a word. The rule is the word-by-word one: a word (a
+        maximal non-" " stretch of a "\\n"-free piece) that would push
+        the line past ``max_width`` starts a new line, after the line's
+        trailing spaces are dropped; the first word of a line never
+        wraps; a line never starts with a space; "\\n" ends a line and
+        keeps its trailing spaces.
+
+        Widths are exact when ``_exact_cw64(size)`` is nonzero (64 × the
+        char width is an integer, which holds for the default and every
+        heading size): every sum of them is then exact in float64, so it
+        does not depend on the order of the additions. While every width
+        on the line is exact, one step takes a whole line: the capacity
+        ``(max_w64 − w64) // cw64`` in chars, then ``str.rfind(" ")`` for
+        the last word end within it. Once a line holds an inexact width
+        (say 13.7px) the same state machine advances word by word and
+        adds the widths one item (word or " ") at a time, in the order
+        the per-word wrap did: that order decides the last bit of the
+        2dp bboxes. Pinned against the per-word wrap by
+        tests/test_robustness.py::test_wrap_equals_per_word_wrap."""
         lines: List[tuple] = []
-        cur: List[Tuple[str, str, float, float]] = []  # (text, font, size, width)
-        cur_w = 0.0
-        # cur_dirty: some word in cur MAY carry embedded non-space
-        # whitespace (set per run, conservatively). Words come from "\n"
-        # then " " splits, so only other whitespace (\t, \r, …) can be
-        # embedded; one search per RUN replaces one per word in the flush.
-        cur_dirty = False
+        segs: List[Tuple[str, str, float]] = []
+        exact = True
+        # exact line: width, and width up to the last word, in 1/64 units
+        w64 = end64 = 0
+        # inexact line: the same two, as per-item float sums
+        cur_w = end_w = 0.0
 
-        def flush_line():
-            nonlocal cur, cur_w, cur_dirty
-            if cur:
-                # One pass computes all three derived values.
-                #  - width: widths were computed per word at append time;
-                #    accumulating the stored values left-to-right is
-                #    bit-identical to a fresh left-to-right sum of the same
-                #    expressions (and to sum(), which also folds 0+c0+c1+…)
-                #  - msize: cummax with > keeps the first occurrence on
-                #    ties, same as max()
-                #  - uni: uniform-style detection for the span fast path —
-                #    one (font, size) across the line and no item with
-                #    embedded non-space whitespace (a " " item is fine)
-                f0, s0 = cur[0][1], cur[0][2]
-                width = 0.0
-                msize = s0
-                uni_ok = True
-                if cur_dirty:
-                    for c in cur:
-                        width += c[3]
-                        cs = c[2]
-                        if cs > msize:
-                            msize = cs
-                        if uni_ok:
-                            if c[1] is not f0 and c[1] != f0 or cs != s0:
-                                uni_ok = False
-                            else:
-                                t = c[0]
-                                if t != " " and _WS_SEARCH(t) is not None:
-                                    uni_ok = False
+        def flush(trim: bool):
+            nonlocal segs, exact, w64, end64, cur_w, end_w
+            if segs:
+                if trim:
+                    # drop the trailing spaces before wrapping
+                    while not segs[-1][0].strip(" "):
+                        segs.pop()
+                    t, f, s = segs[-1]
+                    segs[-1] = (t.rstrip(" "), f, s)
+                    width = end64 / 64 if exact else end_w
                 else:
-                    # no word can trip the whitespace test — the per-word
-                    # check is provably True, so only styles matter
-                    for c in cur:
-                        width += c[3]
-                        cs = c[2]
-                        if cs > msize:
-                            msize = cs
-                        if uni_ok and (c[1] is not f0 and c[1] != f0 or cs != s0):
-                            uni_ok = False
-                lines.append((cur, width, msize, (f0, s0) if uni_ok else None))
-            cur = []
-            cur_w = 0.0
-            cur_dirty = False
+                    width = w64 / 64 if exact else cur_w
+                f0, s0 = segs[0][1], segs[0][2]
+                msize = s0
+                uni = True
+                for t, f, s in segs:
+                    if s > msize:
+                        msize = s
+                    if uni and (f != f0 or s != s0 or _ODD_WS_SEARCH(t)):
+                        uni = False
+                lines.append((segs, width, msize, (f0, s0) if uni else None))
+                segs = []
+            exact = True
+            w64 = end64 = 0
+            cur_w = end_w = 0.0
 
         max_width = self.max_width
+        max_w64 = math.floor(max_width * 64)
         for text, bold, italic, size in runs:
             font = _fontname(bold, italic)
             cw = _char_width(size)
-            run_dirty = _ODD_WS_SEARCH(text) is not None
-            pieces = _NL_SPLIT(text) if "\n" in text else (text,)
-            for piece in pieces:
+            cw64 = _exact_cw64(size)
+            for piece in _NL_SPLIT(text) if "\n" in text else (text,):
                 if piece == "\n":
-                    flush_line()
+                    flush(False)
                     continue
-                words = _SP_SPLIT(piece) if " " in piece else (piece,)
-                # branch-split form of the original per-word body: the
-                # " " item can never trigger the overflow check, and a
-                # word item never hits the leading-space skip (it either
-                # follows a flush — cur empty, check skipped via `and
-                # cur` — or appends unconditionally, as before)
-                for word in words:
-                    if word == " ":
-                        if not cur:
-                            continue  # no leading spaces on wrapped lines
-                        cur.append((word, font, size, cw))
-                        cur_w += cw
-                    elif word:
-                        w = len(word) * cw
-                        if cur and cur_w + w > max_width:
-                            # drop a trailing space before wrapping
-                            while cur and cur[-1][0] == " ":
-                                cur.pop()
-                            flush_line()
-                        cur.append((word, font, size, w))
-                        cur_w += w
+                n = len(piece)
+                # piece[start:p] is on the current line, not yet in segs
+                p = start = 0
+                while p < n:
+                    if p == start and not segs:
+                        # empty line: skip leading spaces; the first word
+                        # goes on whatever its width
+                        m = _NON_SPACE(piece, p)
+                        if m is None:
+                            break
+                        start = p = m.start()
+                        e = piece.find(" ", p)
+                        if e < 0:
+                            e = n
+                        if cw64:
+                            w64 = end64 = (e - p) * cw64
+                        else:
+                            exact = False
+                            cur_w = end_w = 0.0 + (e - p) * cw
+                        p = e
+                    elif exact and cw64:
+                        # whole-line step: chars that still fit
+                        last = p + (max_w64 - w64) // cw64
+                        if last < n:
+                            # (last < p: not even the next char fits, and
+                            # a negative end would count from the back)
+                            j = piece.rfind(" ", p, last + 1) if last >= p else -1
+                            e = p + len(piece[p:j].rstrip(" ")) if j > p else p
+                            m = _NON_SPACE(piece, j + 1 if j >= 0 else p)
+                            if m is not None:
+                                # the word at m does not fit: the line
+                                # ends after the last word that does
+                                if e > p:
+                                    end64 = w64 + (e - p) * cw64
+                                if e > start:
+                                    segs.append((piece[start:e], font, size))
+                                flush(True)
+                                start = p = m.start()
+                                continue
+                        # the rest of the piece fits, or is only spaces
+                        e = len(piece.rstrip(" "))
+                        if e > p:
+                            end64 = w64 + (e - p) * cw64
+                        w64 += (n - p) * cw64
+                        p = n
                     else:
-                        continue
-                    if run_dirty:
-                        cur_dirty = True
-        flush_line()
+                        if exact:
+                            # inexact from here: continue the float sum
+                            # from the exact value
+                            exact = False
+                            cur_w = w64 / 64
+                            end_w = end64 / 64
+                        if piece[p] == " ":
+                            cur_w += cw
+                            p += 1
+                            continue
+                        e = piece.find(" ", p)
+                        if e < 0:
+                            e = n
+                        w = (e - p) * cw
+                        if cur_w + w > max_width:
+                            if p > start:
+                                segs.append((piece[start:p], font, size))
+                            flush(True)
+                            start = p
+                            continue
+                        cur_w += w
+                        end_w = cur_w
+                        p = e
+                if p > start:
+                    segs.append((piece[start:p], font, size))
+        flush(False)
         return lines
 
     def _emit_text_element(self, line_elems: List[LineElement], texts: List[str]):
         if not line_elems:
             return
-        x0 = min(le.bbox[0] for le in line_elems)
-        y0 = min(le.bbox[1] for le in line_elems)
-        x1 = max(le.bbox[2] for le in line_elems)
-        y1 = max(le.bbox[3] for le in line_elems)
+        x0s, y0s, x1s, y1s = zip(*[le.bbox for le in line_elems])
+        x0, y0, x1, y1 = min(x0s), min(y0s), max(x1s), max(y1s)
         self.elements.append(
             TextElement(
                 text="\n".join(texts),
@@ -513,13 +572,7 @@ class _Layout:
             )
         )
 
-    def _make_line(
-        self, chars, y1: float, width: float = None, max_size: float = None, uni=None
-    ) -> LineElement:
-        if max_size is None:
-            max_size = max((c[2] for c in chars), default=_DEFAULT_SIZE)
-        if width is None:
-            width = sum(len(c[0]) * _char_width(c[2]) for c in chars)
+    def _make_line(self, segs, y1: float, width: float, max_size: float, uni) -> LineElement:
         bbox = (
             consts.PAGE_MARGIN_X,
             y1 - max_size,
@@ -528,10 +581,11 @@ class _Layout:
         )
         if uni is not None:
             # single-style line: the grouping state machine degenerates to
-            # one span (byte-identical; see single_style_span)
-            spans = (single_style_span([c[0] for c in chars], uni[0], uni[1]),)
+            # one span over the joined slices (see single_style_span)
+            text = "".join([t for t, _, _ in segs])
+            spans = (single_style_span(text, uni[0], uni[1]),)
         else:
-            spans = tuple(group_char_items_into_spans(chars))
+            spans = tuple(group_char_items_into_spans(segs))
         return LineElement(bbox=bbox, spans=spans)
 
     def place_text_block(self, block: _Block):
@@ -540,24 +594,25 @@ class _Layout:
             return
         if block.placement == "top":
             les = []
-            for chars, width, msize, uni in lines:
-                le = self._make_line(chars, self.top_cursor, width, msize, uni)
+            for segs, width, msize, uni in lines:
+                le = self._make_line(segs, self.top_cursor, width, msize, uni)
                 self.top_cursor -= msize * 1.2
                 les.append(le)
             self._emit_text_element(les, [le.text for le in les])
             return
         if block.placement == "bottom":
             les = []
-            for chars, width, msize, uni in lines:
-                le = self._make_line(chars, self.bottom_cursor, width, msize, uni)
+            for segs, width, msize, uni in lines:
+                le = self._make_line(segs, self.bottom_cursor, width, msize, uni)
                 self.bottom_cursor -= msize * 1.2
                 les.append(le)
             self._emit_text_element(les, [le.text for le in les])
             return
         if block.placement == "full":
             # one element spanning most of the page (watermark / full-page stub)
-            all_chars = [c for line, _, _, _ in lines for c in line]
-            spans = group_char_items_into_spans(all_chars)
+            spans = group_char_items_into_spans(
+                [seg for segs, _, _, _ in lines for seg in segs]
+            )
             bbox = (36.0, 60.0, consts.PAGE_WIDTH - 36.0, consts.PAGE_HEIGHT - 36.0)
             le = LineElement(bbox=bbox, spans=tuple(spans))
             self.elements.append(
@@ -579,13 +634,13 @@ class _Layout:
 
         # normal flow
         les: List[LineElement] = []
-        for chars, width, line_h, uni in lines:
+        for segs, width, line_h, uni in lines:
             if self.cursor - line_h < consts.PAGE_BOTTOM_Y:
                 # page break: close the element on this page, continue on next
                 self._emit_text_element(les, [le.text for le in les])
                 les = []
                 self.new_page()
-            le = self._make_line(chars, self.cursor, width, line_h, uni)
+            le = self._make_line(segs, self.cursor, width, line_h, uni)
             self.cursor -= round(line_h * 1.2, 2)
             les.append(le)
         self._emit_text_element(les, [le.text for le in les])

@@ -86,20 +86,8 @@ def _font_style(fontname: str) -> Tuple[bool, bool]:
 
 
 _WS_SEARCH = __import__("re").compile(r"\s").search
-
-
-def _iter_char_items(items):
-    """Expand any item whose text mixes whitespace with non-whitespace into
-    per-char items; pure-word and pure-whitespace items pass through (their
-    char-wise processing collapses to one step — see group_char_items)."""
-    for item in items:
-        text = item[0]
-        if len(text) == 1 or _WS_SEARCH(text) is None or text.isspace():
-            yield item
-        else:
-            _, fontname, size = item
-            for ch in text:
-                yield ch, fontname, size
+_NON_WS_SEARCH = __import__("re").compile(r"\S").search
+_WS_RUN_SUB = __import__("re").compile(r"\s+").sub
 
 
 def group_char_items_into_spans(
@@ -109,54 +97,35 @@ def group_char_items_into_spans(
     (reference: core.py:99-140).
 
     Char-for-char equivalent to feeding individual CharElements: a
-    multi-char word item shares one style, so the style-boundary test fires
-    only at its first char; a whitespace item of N chars compresses to the
-    same single trailing space as N whitespace chars would.
+    multi-char item shares one style, so the style-boundary test fires
+    only at its first non-whitespace char; a whitespace run of N chars
+    (a whole item or inside a mixed one, such as a wrapped line's slice)
+    compresses to the same single space as N whitespace chars would.
     """
     spans: List[TextSpan] = []
     current_text = ""
     current_style = (False, False, 0.0)
 
     # Hot path: iterate items directly (no generator frames); cache the
-    # style tuple per (fontname, size) so the per-word cost is one dict
-    # lookup + one tuple compare. Mixed ws/word items (rare) expand to
-    # per-char processing exactly as _iter_char_items would.
+    # style tuple per (fontname, size) so the per-item cost is one dict
+    # lookup + one tuple compare. Items may carry extra fields (index
+    # access).
     style_cache: dict = {}
     ws_search = _WS_SEARCH
     for item in items:
         text = item[0]
         if len(text) != 1 and ws_search(text) is not None and not text.isspace():
-            # rare mixed item: expand char-wise through the same state machine
-            # (index access: items may carry extra fields, e.g. cached width)
-            fontname, size = item[1], item[2]
-            key = (fontname, size)
-            mixed_style = style_cache.get(key)
-            if mixed_style is None:
-                bold, italic = _font_style(fontname)
-                mixed_style = (bold, italic, round(size, 2))
-                style_cache[key] = mixed_style
-            for ch in text:
-                if ch.isspace():
-                    if not current_text.endswith(" "):
-                        current_text += " "
-                    continue
-                char_style = mixed_style
-                if char_style != current_style and current_text:
-                    spans.append(
-                        TextSpan(
-                            text=current_text.rstrip()
-                            + (" " if current_text.endswith(" ") else ""),
-                            is_bold=current_style[0],
-                            is_italic=current_style[1],
-                            size=current_style[2],
-                        )
-                    )
-                    current_text = ch
-                else:
-                    current_text += ch
-                current_style = char_style
-            continue
-        if text == " " or text.isspace():
+            # mixed item (a wrapped line's slice, or a word with embedded
+            # whitespace): whitespace before its first word compresses
+            # into current_text, and the rest goes on as one word item
+            # with every whitespace run compressed to one space — char
+            # for char the per-char state machine (\s is exactly
+            # str.isspace), without a per-char loop
+            i = _NON_WS_SEARCH(text).start()
+            if i and not current_text.endswith(" "):
+                current_text += " "
+            text = _WS_RUN_SUB(" ", text[i:] if i else text)
+        elif text == " " or text.isspace():
             # compress runs of whitespace to one space; style unchanged
             if not current_text.endswith(" "):
                 current_text += " "
@@ -221,13 +190,12 @@ def lines_bbox(lines: List[LineElement]) -> Tuple[float, float, float, float]:
 _MULTISPACE_SUB = __import__("re").compile(r" {2,}").sub
 
 
-def single_style_span(texts, fontname: str, size: float) -> TextSpan:
-    """Fast path for a line whose items all share one style and contain
-    no embedded non-space whitespace: the run-length state machine
-    degenerates to concatenate + compress-spaces + trailing-space rule.
+def single_style_span(text: str, fontname: str, size: float) -> TextSpan:
+    """Fast path for a line whose slices all share one style and contain
+    no whitespace but " ": the run-length state machine degenerates to
+    compress-spaces + trailing-space rule over the joined ``text``.
     Byte-identical to group_char_items_into_spans on such input."""
-    joined = "".join(texts)
-    compressed = _MULTISPACE_SUB(" ", joined)
+    compressed = _MULTISPACE_SUB(" ", text) if "  " in text else text
     bold, italic = _font_style(fontname)
     return TextSpan(
         text=compressed.rstrip() + (" " if compressed.endswith(" ") else ""),

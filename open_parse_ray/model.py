@@ -165,7 +165,7 @@ class LineElement:
         spans: Tuple[TextSpan, ...],
         style: Optional[str] = None,
     ):
-        self.bbox = tuple(round(v, 2) for v in bbox)  # schemas.py:116-120
+        self.bbox = tuple([round(v, 2) for v in bbox])  # schemas.py:116-120
         self.spans = tuple(spans)
         self.style = style
         self._text: Optional[str] = None

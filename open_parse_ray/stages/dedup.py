@@ -402,8 +402,11 @@ def salted_groupby(ds, key, fn, num_parts: Optional[int] = None):
     of ``ds``.
 
     The salt stage is Arrow-native (appends ``_part`` to the block, no
-    pandas copy before the exchange); ``fn`` receives one pandas
-    partition without ``_part``.
+    pandas copy before the exchange) and takes one block per batch
+    (``batch_size=None``): it still fuses with the upstream map, and a
+    pandas-built and an Arrow-built block (the two sides of a union)
+    never meet in one batch, which Ray Data's batcher cannot build.
+    ``fn`` receives one pandas partition without ``_part``.
     """
     if num_parts is None:
         num_parts = default_num_parts(ds)
@@ -412,7 +415,7 @@ def salted_groupby(ds, key, fn, num_parts: Optional[int] = None):
         part = (salt_of_key(t, key) % num_parts).astype(np.int64)
         return t.append_column("_part", pa.array(part, pa.int64()))
 
-    salted = ds.map_batches(add_salt, batch_format="pyarrow", batch_size=8192)
+    salted = ds.map_batches(add_salt, batch_format="pyarrow", batch_size=None)
 
     def run(g: pd.DataFrame) -> pd.DataFrame:
         return fn(g.drop(columns=["_part"]))

@@ -372,7 +372,6 @@ def pagerank_partitioned(
         ["node"],
         {"wout": "sum"},
     )
-    # Arrow blocks, like the combine's: one batch may span both sides
     all_nodes = rd.range(n_nodes).map_batches(
         lambda t: pa.table(
             {"node": t["id"].cast(pa.int64()), "wout": np.zeros(t.num_rows, np.int64)}

@@ -159,6 +159,37 @@ def test_salted_groupby_num_parts_invariance(ray_session, tmp_path):
         assert len(res[0]) == n
 
 
+def test_salted_groupby_over_pandas_and_arrow_union(ray_session):
+    """A union of a pandas-built side and an Arrow-built side goes through
+    the exchange: Ray Data cannot put a pandas block and an Arrow block in
+    one batch, so the salt stage must take one block per batch."""
+    import ray.data as rd
+
+    from open_parse_ray.stages.dedup import salted_groupby
+
+    pandas_side = rd.from_items([{"k": i % 5, "v": i} for i in range(40)]).map_batches(
+        lambda b: b.assign(v=b["v"] * 10), batch_format="pandas"
+    )
+    arrow_side = rd.from_arrow(pa.table({"k": [i % 5 for i in range(30)], "v": list(range(30))}))
+
+    def per_key(part: pd.DataFrame) -> pd.DataFrame:
+        return part.groupby("k", as_index=False).agg(n=("v", "size"), s=("v", "sum"))
+
+    got = (
+        salted_groupby(pandas_side.union(arrow_side), "k", per_key, num_parts=3)
+        .to_pandas()
+        .sort_values("k")
+        .reset_index(drop=True)
+    )
+    rows = [(i % 5, i * 10) for i in range(40)] + [(i % 5, i) for i in range(30)]
+    want = (
+        pd.DataFrame(rows, columns=["k", "v"])
+        .groupby("k", as_index=False)
+        .agg(n=("v", "size"), s=("v", "sum"))
+    )
+    assert got.equals(want)
+
+
 def test_salt_key_rule_matches_parent_formulas():
     """The exchange key rule reproduces, value for value, the two salt
     formulas call sites used to write by hand against a pandas batch:
@@ -1130,3 +1161,208 @@ def test_bucket_topk_partials_independent_of_row_order():
     for seed in range(8):
         got = _bucket_topk_partials(part.sample(frac=1, random_state=seed), 10)
         pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+def _per_word_wrap(runs, max_width):
+    """The word-by-word wrap the layout used before lines became run
+    slices: one (word, font, size, width) item per word and per " ",
+    widths summed one item at a time. Returns (items, width, max_size,
+    uni) per line."""
+    import re
+
+    from open_parse_ray.functions.html import _char_width, _fontname
+
+    lines, cur, cur_w = [], [], 0.0
+
+    def flush_line():
+        nonlocal cur, cur_w
+        if cur:
+            f0, s0 = cur[0][1], cur[0][2]
+            width, msize, uni = 0.0, s0, True
+            for t, f, s, w in cur:
+                width += w
+                if s > msize:
+                    msize = s
+                if f != f0 or s != s0 or (t != " " and re.search(r"\s", t)):
+                    uni = False
+            lines.append((cur, width, msize, (f0, s0) if uni else None))
+        cur, cur_w = [], 0.0
+
+    for text, bold, italic, size in runs:
+        font = _fontname(bold, italic)
+        cw = _char_width(size)
+        for piece in re.split(r"(\n)", text):
+            if piece == "\n":
+                flush_line()
+                continue
+            for word in re.split(r"( )", piece):
+                if word == " ":
+                    if not cur:
+                        continue  # no leading spaces on wrapped lines
+                    cur.append((word, font, size, cw))
+                    cur_w += cw
+                elif word:
+                    w = len(word) * cw
+                    if cur and cur_w + w > max_width:
+                        # drop a trailing space before wrapping
+                        while cur and cur[-1][0] == " ":
+                            cur.pop()
+                        flush_line()
+                    cur.append((word, font, size, w))
+                    cur_w += w
+    flush_line()
+    return lines
+
+
+def test_wrap_equals_per_word_wrap():
+    """The slice wrap (a whole line per step while every width is exact)
+    equals the per-word wrap on seeded hostile blocks: line text, width
+    (bitwise), max size, uniform marker, and the spans of every line and
+    of a full-page block against a char-by-char grouping."""
+    import random
+
+    from open_parse_ray.functions.html import _Layout
+    from open_parse_ray.functions.spans import group_char_items_into_spans
+
+    def charwise_spans(items):
+        return group_char_items_into_spans(
+            [(ch, f, s) for t, f, s, *_ in items for ch in t]
+        )
+
+    def key(spans):
+        return [(s.text, s.is_bold, s.is_italic, s.size) for s in spans]
+
+    rng = random.Random(20261019)
+    layout = _Layout()
+    words = ["a", "of", "the", "wrap", "layout", "extraction", "x" * 90, "y" * 260,
+             "t\tab", "v\x0bt", "İx", "n\xa0b"]
+    sizes = [12.0, 13.0, 24.0, 13.7, 12.5, 9.3, 0.0]
+    seen = dict.fromkeys(["exact+13.7", "double space at boundary", "leading space",
+                          "trailing space", "newline run", "long word", "tab/vt"], 0)
+    for _ in range(10_000):
+        runs = []
+        for _ in range(rng.randint(1, 6)):
+            r = rng.random()
+            if r < 0.08:
+                text = "\n"
+            elif r < 0.16:
+                text = rng.choice([" ", "  ", " \n "])
+            else:
+                toks = [rng.choice(words) + rng.choice([" ", " ", "  ", "", "\n"])
+                        for _ in range(rng.randint(1, 24))]
+                text = rng.choice(["", " ", "  "]) + "".join(toks)
+            runs.append((text, rng.random() < 0.3, rng.random() < 0.2, rng.choice(sizes)))
+        block_sizes = {s for _, _, _, s in runs}
+        seen["exact+13.7"] += 13.7 in block_sizes and bool(block_sizes & {12.0, 13.0, 24.0})
+        seen["double space at boundary"] += any(
+            a[0].endswith(" ") and b[0].startswith(" ") for a, b in zip(runs, runs[1:])
+        )
+        seen["leading space"] += runs[0][0].startswith(" ")
+        seen["trailing space"] += runs[-1][0].endswith(" ")
+        seen["newline run"] += any(t == "\n" for t, *_ in runs)
+        seen["long word"] += any(("y" * 260) in t for t, *_ in runs)
+        seen["tab/vt"] += any("\t" in t or "\x0b" in t for t, *_ in runs)
+
+        want = _per_word_wrap(runs, layout.max_width)
+        got = layout._wrap(runs)
+        assert [
+            ("".join(t for t, *_ in segs), width.hex(), msize, uni)
+            for segs, width, msize, uni in got
+        ] == [
+            ("".join(t for t, *_ in items), width.hex(), msize, uni)
+            for items, width, msize, uni in want
+        ], runs
+        for (segs, width, msize, uni), (items, *_) in zip(got, want):
+            line = layout._make_line(segs, 700.0, width, msize, uni)
+            assert key(line.spans) == key(charwise_spans(items)), runs
+        assert key(group_char_items_into_spans([s for segs, *_ in got for s in segs])) == key(
+            charwise_spans([i for items, *_ in want for i in items])
+        ), runs
+    assert all(n >= 200 for n in seen.values()), seen
+
+
+def test_embed_bincount_equals_per_feature_loop():
+    """The bincount embedder equals the per-feature ``vec[h % dim] +=
+    sign`` loop bitwise, and the cached-vector merge equals the list
+    round-trip merge (embed_many + a cosine per pair) on random node
+    lists with empty-text nodes and similarity ties at the threshold."""
+    import hashlib
+    import random
+
+    import numpy as np
+
+    from open_parse_ray.functions.embed import (
+        CombineNodesSemantically,
+        HashedNGramEmbeddings,
+    )
+    from open_parse_ray.model import Bbox, LineElement, Node, TextElement, TextSpan
+
+    def per_feature_loop(text, dim):
+        vec = np.zeros(dim, dtype=np.float64)
+        words = text.lower().split()
+        for f in words + [f"{a}_{b}" for a, b in zip(words, words[1:])]:
+            h = int.from_bytes(hashlib.md5(f.encode("utf-8", "ignore")).digest()[:8], "little")
+            vec[h % dim] += 1.0 if (h >> 63) & 1 == 0 else -1.0
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec /= norm
+        return vec
+
+    rng = random.Random(7)
+    vocab = ["alpha", "beta", "Gamma", "İstanbul", "straße", "ΟΔΟΣ", "x", "_", "a_b"]
+    texts = ["", " ", " \t\n\x0b\u3000 ", "İ", "İİ i̇",
+             "rep " * 500, " ".join(rng.choice(vocab) for _ in range(10_000))]
+    for dim in (64, 32, 7):
+        model = HashedNGramEmbeddings(dim=dim)
+        for text in texts:
+            got, want = model._embed_uncached(text), per_feature_loop(text, dim)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (dim, text[:20])
+            assert model.embed_many([text])[0] == want.tolist()
+
+    def cosine(a, b):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+    def list_merge(nodes, client, min_similarity, max_tokens):
+        nodes = list(nodes)
+        modified = True
+        while modified:
+            modified = False
+            nodes = sorted(nodes)
+            embeddings = client.embed_many([n.text for n in nodes])
+            i = 0
+            while i < len(nodes) - 1:
+                similarity = cosine(embeddings[i], embeddings[i + 1])
+                if (
+                    similarity >= min_similarity
+                    and nodes[i].tokens + nodes[i + 1].tokens <= max_tokens
+                ):
+                    nodes[i] = nodes[i] + nodes[i + 1]
+                    del nodes[i + 1]
+                    del embeddings[i + 1]
+                    modified = True
+                    continue
+                i += 1
+        return nodes
+
+    def node(text, y):
+        bbox = Bbox(page=0, page_height=792.0, page_width=612.0, x0=50.0, y0=y, x1=300.0, y1=y + 10)
+        line = LineElement(bbox=(50.0, y, 300.0, y + 10), spans=(TextSpan(text=text, is_bold=False, is_italic=False, size=12.0),))
+        return Node(elements=(TextElement(text=text, lines=(line,), bbox=bbox),))
+
+    phrases = ["", " ", "alpha beta", "alpha beta gamma", "beta gamma", "delta", "alpha beta"]
+    merges = ties = 0
+    for trial in range(60):
+        nodes = [node(rng.choice(phrases), 700.0 - 12 * k) for k in range(rng.randint(0, 14))]
+        client = HashedNGramEmbeddings(dim=rng.choice([16, 64]))
+        # a threshold equal to one of the adjacent similarities: a tie
+        sims = [cosine(client.embed(a.text), client.embed(b.text)) for a, b in zip(nodes, nodes[1:])]
+        sims = [s for s in sims if s == s]  # nan (an empty text) never ties
+        threshold = rng.choice(sims) if sims and trial % 2 else rng.choice([0.3, 0.6, 0.99])
+        ties += threshold in sims
+        max_tokens = rng.choice([4, 20, 1000])
+        want = list_merge(nodes, HashedNGramEmbeddings(dim=client.dim), threshold, max_tokens)
+        got = CombineNodesSemantically(client, threshold, max_tokens).process(nodes)
+        assert [n.text for n in got] == [n.text for n in want], trial
+        merges += len(got) < len(nodes)
+    assert merges >= 10 and ties >= 20, (merges, ties)
